@@ -11,12 +11,15 @@ depth 10 by default) end to end:
   the quality cost of binning.
 - **predict**: the historical per-tree object path vs the packed flat-array
   engine (cold = first call, including the one-off traversal-table build;
-  warm = steady state).  Bit-parity between the two predict paths is
-  asserted before anything is recorded.
+  warm = steady state) at 1 row, 8 rows, the test split and the full pool.
+  The 1-row case is the advisor's question path, where the packed engine's
+  fixed per-call cost dominates.  Bit-parity between the two predict paths
+  is asserted on every batch before anything is recorded.
 
 Measurements land in a JSON artifact (``BENCH_PR6.json`` by convention).
 CI runs this from the memo-service job, uploads the JSON, and enforces the
-hist-fit speedup floor, building a perf trajectory across PRs; run it
+hist-fit speedup floor and the 1-row predict speedup floor, both ratios
+measured within one run, building a perf trajectory across PRs; run it
 locally with::
 
     PYTHONPATH=src python benchmarks/perf_trajectory.py --output BENCH_PR6.json
@@ -124,17 +127,21 @@ def main(argv=None) -> int:
     # ------------------------------------------------------------------ predict
     # Cold packed predict pays the one-off arena + traversal-table build.
     start = time.perf_counter()
-    packed_test_cold = gb.predict(X_test)
+    gb.predict(X_test)
     predict_packed_cold_s = time.perf_counter() - start
 
-    object_test = _object_path_predict(gb, X_test)
-    if not np.array_equal(packed_test_cold, object_test):
-        raise SystemExit("parity violation: packed != per-tree object path")
-    if not np.array_equal(gb.predict(X_pool), _object_path_predict(gb, X_pool)):
-        raise SystemExit("parity violation: packed != per-tree object path (pool)")
+    batches = {
+        "rows1": X_test[:1],
+        "rows8": X_test[:8],
+        "test_split": X_test,
+        "full_pool": X_pool,
+    }
+    for name, X in batches.items():
+        if not np.array_equal(gb.predict(X), _object_path_predict(gb, X)):
+            raise SystemExit(f"parity violation: packed != per-tree object path ({name})")
 
     predict = {}
-    for name, X in [("test_split", X_test), ("full_pool", X_pool)]:
+    for name, X in batches.items():
         object_s = _best_of(lambda X=X: _object_path_predict(gb, X), args.repeats)
         packed_s = _best_of(lambda X=X: gb.predict(X), args.repeats)
         predict[name] = {
@@ -169,18 +176,21 @@ def main(argv=None) -> int:
             "object_graph": object_blob,
             "ratio": packed_blob / object_blob,
         },
-        "parity": "byte-identical (asserted on test split and full pool)",
+        "parity": "byte-identical (asserted on 1 row, 8 rows, test split and full pool)",
     }
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
 
     deploy = predict["test_split"]
+    rows1 = predict["rows1"]
     print(
         f"fit exact {exact_best:.2f}s -> hist {hist_best:.2f}s "
         f"({fit_engines['hist_speedup']:.2f}x, best of {args.fit_repeats} interleaved) | "
         f"predict[test_split] object {deploy['object_path_s']:.4f}s -> "
         f"packed {deploy['packed_s']:.4f}s ({deploy['speedup']:.2f}x) | "
+        f"predict[rows1] object {rows1['object_path_s'] * 1e3:.2f}ms -> "
+        f"packed {rows1['packed_s'] * 1e3:.3f}ms ({rows1['speedup']:.0f}x) | "
         f"payload {packed_blob}/{object_blob} bytes "
         f"({report['pickle_payload_bytes']['ratio']:.2f}x)"
     )

@@ -7,18 +7,25 @@ advisor, a pool of concurrent clients fires single-row predict requests at
 it, and the run is repeated in both server modes:
 
 * **single-flight** — micro-batching disabled: every request pays its own
-  packed traversal (the per-call accumulation loop over all 750 trees
-  dominates, regardless of row count);
+  packed predict call, whose fixed per-call cost (input checks, traversal
+  set-up, one dispatch per depth level and one accumulation kernel call)
+  barely depends on the row count;
 * **micro-batched** — concurrent requests coalesce into one packed
   traversal per tick, the PR 5 headline.
+
+The two modes run interleaved: ``ROUNDS`` rounds each, in alternation, and
+each mode's rounds are pooled.  A fast or slow spell of a shared runner then
+lands on both modes instead of skewing the ratio toward whichever mode
+happened to run during it, as it can when the modes run back to back.
 
 Byte-parity of the served path against local single-request inference is
 asserted before anything is timed, in both modes.  The JSON artifact
 (``BENCH_PR8.json`` by convention) records requests/s, **latency
 percentiles through p99** and the coalescing statistics; CI uploads it and
-enforces the PR 8 tail guard — micro-batched p99 must not exceed the
-single-flight p50 at the same concurrency — so a regression that doubles
-the tail while holding the mean cannot merge green.  Run locally with::
+enforces the throughput floor and the tail guard — micro-batched p99
+must not exceed the single-flight p50 at the same concurrency — so a
+regression that doubles the tail while holding the mean cannot merge
+green.  Run locally with::
 
     PYTHONPATH=src python benchmarks/serve_throughput.py --output BENCH_PR8.json
 
@@ -38,7 +45,11 @@ import time
 import numpy as np
 
 
-def _run_mode(
+#: Interleaved rounds per mode (single-flight, micro-batched, alternating).
+ROUNDS = 3
+
+
+def _run_round(
     advisor, X_rows: np.ndarray, *, micro_batch: bool, clients: int, requests: int
 ) -> dict:
     """Serve ``clients`` concurrent workers × ``requests`` single-row queries."""
@@ -71,14 +82,25 @@ def _run_mode(
             t.join()
         wall_s = time.perf_counter() - wall_start
         stats = server.stats()
-
-    n = clients * requests
     return {
+        "latencies": latencies,
+        "wall_s": wall_s,
+        "batcher": stats["models"]["default"]["batcher"],
+    }
+
+
+def _pool(rounds: list[dict], *, micro_batch: bool, clients: int) -> dict:
+    """One mode's summary over all of its rounds' samples."""
+    latencies = np.concatenate([r["latencies"] for r in rounds])
+    wall_s = sum(r["wall_s"] for r in rounds)
+    summary = {
         "mode": "micro_batched" if micro_batch else "single_flight",
         "clients": clients,
-        "requests": n,
+        "rounds": len(rounds),
+        "requests": int(latencies.size),
         "wall_s": wall_s,
-        "requests_per_s": n / wall_s,
+        "requests_per_s": latencies.size / wall_s,
+        "round_requests_per_s": [r["latencies"].size / r["wall_s"] for r in rounds],
         "latency_ms": {
             "mean": float(np.mean(latencies)) * 1e3,
             "p50": float(np.percentile(latencies, 50)) * 1e3,
@@ -86,8 +108,20 @@ def _run_mode(
             "p99": float(np.percentile(latencies, 99)) * 1e3,
             "max": float(np.max(latencies)) * 1e3,
         },
-        "batcher": stats["models"]["default"]["batcher"],
+        "batcher": None,
     }
+    if micro_batch:
+        requests = sum(r["batcher"]["requests"] for r in rounds)
+        batches = sum(r["batcher"]["batches"] for r in rounds)
+        summary["batcher"] = {
+            "requests": requests,
+            "batches": batches,
+            "batched_requests_max": max(
+                r["batcher"]["batched_requests_max"] for r in rounds
+            ),
+            "requests_per_batch_mean": requests / batches if batches else 0.0,
+        }
+    return summary
 
 
 def _assert_parity(advisor, X_rows: np.ndarray, *, micro_batch: bool, clients: int) -> None:
@@ -129,8 +163,9 @@ def main(argv=None) -> int:
         type=int,
         default=150,
         help=(
-            "timed single-row requests per client (the default yields "
-            "clients*150 latency samples, enough for a stable p99)"
+            "timed single-row requests per client per round (the default "
+            "yields clients*150*ROUNDS latency samples per mode, enough for "
+            "a stable p99)"
         ),
     )
     parser.add_argument("--dataset", default="aurora", help="dataset name (Table 1)")
@@ -159,12 +194,17 @@ def main(argv=None) -> int:
     _assert_parity(advisor, probe, micro_batch=True, clients=args.clients)
     _assert_parity(advisor, probe, micro_batch=False, clients=args.clients)
 
-    single = _run_mode(
-        advisor, X_rows, micro_batch=False, clients=args.clients, requests=args.requests
-    )
-    micro = _run_mode(
-        advisor, X_rows, micro_batch=True, clients=args.clients, requests=args.requests
-    )
+    rounds: dict[bool, list[dict]] = {False: [], True: []}
+    for _ in range(ROUNDS):
+        for micro_batch in (False, True):
+            rounds[micro_batch].append(
+                _run_round(
+                    advisor, X_rows, micro_batch=micro_batch,
+                    clients=args.clients, requests=args.requests,
+                )
+            )
+    single = _pool(rounds[False], micro_batch=False, clients=args.clients)
+    micro = _pool(rounds[True], micro_batch=True, clients=args.clients)
     speedup = micro["requests_per_s"] / single["requests_per_s"]
 
     report = {
@@ -175,6 +215,7 @@ def main(argv=None) -> int:
             "max_depth": args.depth,
             "clients": args.clients,
             "requests_per_client": args.requests,
+            "rounds": ROUNDS,
             "fit_s": fit_s,
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -11,11 +11,12 @@ is hit once per stage and the per-stage column sorts disappear; stages are
 sequential by construction, so boosting itself takes no ``n_jobs``.
 
 Prediction runs on the packed flat-array engine (:mod:`repro.ml.packed`):
-one batched traversal produces the ``(n_samples, n_stages)`` leaf-value
-matrix, which is then accumulated in stage order with the historical
-``init + lr * stage_0 + lr * stage_1 + ...`` float-op sequence, so packed
-predictions are byte-identical to the per-tree object path.  The arena is
-also the pickle form of a fitted model (see ``__getstate__``).
+one batched traversal gathers the per-stage leaf values, and one
+``np.add.accumulate`` (:func:`repro.ml.packed.running_sums`) sums them in
+stage order with the historical ``init + lr * stage_0 + lr * stage_1 + ...``
+float-op sequence, so packed predictions — and every ``staged_predict``
+stage — are byte-identical to the per-tree object path.  The arena is also
+the pickle form of a fitted model (see ``__getstate__``).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.ml.base import (
     check_random_state,
     check_X_y,
 )
-from repro.ml.packed import PackedTreesMixin
+from repro.ml.packed import PackedTreesMixin, running_sums
 from repro.ml.tree import DecisionTreeRegressor
 from repro.parallel.cache import FeatureBins, feature_bins
 
@@ -259,10 +260,7 @@ class GradientBoostingRegressor(PackedTreesMixin, BaseEstimator, RegressorMixin)
         self._check_is_fitted()
         X = check_array(X)
         leaves = self._packed_ensemble().leaf_values(X, tree_major=True)
-        preds = np.full(X.shape[0], self.init_)
-        for stage in range(leaves.shape[0]):
-            preds = preds + self.learning_rate * leaves[stage]
-            yield preds.copy()
+        yield from running_sums(leaves, self.init_, self.learning_rate)
 
     @property
     def feature_importances_(self) -> np.ndarray:

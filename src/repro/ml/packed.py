@@ -20,14 +20,18 @@ Traversal internals (built lazily, never pickled):
   threshold, which removes all per-round masking/compaction: every round is
   three straight gathers, one compare and one fused child lookup.
 * **Sample blocking** — samples are processed in blocks sized so a block's
-  cursor/scratch arrays stay cache-resident across the depth loop, and leaf
-  values are accumulated into the output inside the block.
+  cursor/scratch arrays stay cache-resident across the depth loop, and the
+  block's gathered leaf values are summed in place before the next block.
 
 The parity bar: traversal is routing-identical to per-tree ``apply()`` (the
 same ``<=`` comparison on the same float64 thresholds) and aggregation
 replays the historical float-op order (sequential shrinkage accumulation for
 GB, sequential sum for RF, weighted median for AB), so packed predictions
-are **byte-identical** to the per-tree object path.
+are **byte-identical** to the per-tree object path.  The sequential sums
+are one kernel, :func:`running_sums`: a single ``np.add.accumulate`` down
+the tree axis, which adds strictly left to right and so gives every sample
+the roundings of the historical ``acc += scale * leaf`` loop without a
+Python-level step per tree.
 
 The arena doubles as the pickle form of fitted ensembles
 (:func:`pack_trees_state` / :func:`unpack_trees_state`): a handful of flat
@@ -49,6 +53,7 @@ __all__ = [
     "PackedTreesMixin",
     "committee_predictions",
     "pack_trees_state",
+    "running_sums",
     "unpack_trees_state",
     "PACKED_STATE_VERSION",
 ]
@@ -366,29 +371,25 @@ class PackedEnsemble:
         ``init_j + scale_j * leaf_0 + scale_j * leaf_1 + ...`` over segment
         ``j``'s trees, accumulated **in tree order** — the exact float-op
         sequence of the historical per-tree loops (GB shrinkage stages, RF
-        member sums, one committee member per segment).  Accumulation happens
-        inside the traversal block, so the full leaf matrix is never
-        materialised.
+        member sums, one committee member per segment).  Each segment of a
+        block's freshly gathered leaf slab goes through :func:`running_sums`
+        in place, so no buffer beyond the gather is allocated and the full
+        leaf matrix is never materialised.
         """
         X = self._check_X(X)
         counts = [int(c) for c, _, _ in segments]
+        if min(counts, default=0) < 1:
+            raise ValueError(f"Every segment needs at least one tree, got {counts}.")
         k = sum(counts)
         self._resolve_n_trees(k)
         trav = self._traversal()
         bounds = np.cumsum([0] + counts)
         out = np.empty((X.shape[0], len(counts)))
-        for j, (_, init, _) in enumerate(segments):
-            out[:, j] = init
         for lo, hi, flat in self._traverse_blocks(X, k):
             slab = trav.value[flat].reshape(k, hi - lo)
-            for j, (_, _, scale) in enumerate(segments):
-                acc = out[lo:hi, j]
-                if scale == 1.0:
-                    for t in range(bounds[j], bounds[j + 1]):
-                        acc += slab[t]
-                else:
-                    for t in range(bounds[j], bounds[j + 1]):
-                        acc += scale * slab[t]
+            for j, (_, init, scale) in enumerate(segments):
+                sums = running_sums(slab[bounds[j] : bounds[j + 1]], init, scale)
+                out[lo:hi, j] = sums[-1]
         return out
 
     def accumulate(
@@ -402,6 +403,22 @@ class PackedEnsemble:
         """``init + scale * leaf_0 + scale * leaf_1 + ...`` in tree order."""
         k = self._resolve_n_trees(n_trees)
         return self.segment_sums(X, [(k, init, scale)])[:, 0]
+
+
+def running_sums(slab: np.ndarray, init: float, scale: float) -> np.ndarray:
+    """Overwrite ``slab`` (trees × samples) with its running sums; return it.
+
+    Row ``t`` becomes ``init + scale * slab[0] + ... + scale * slab[t]``.
+    ``np.add.accumulate`` adds strictly left to right down the tree axis and
+    IEEE ``+`` and ``*`` are commutative, so every sample's lane gets exactly
+    the roundings of the historical per-tree ``acc += scale * leaf`` loop.
+    The work happens in place: callers pass a slab they own (a fresh leaf
+    gather), and no second buffer is allocated.
+    """
+    if scale != 1.0:
+        slab *= scale
+    slab[0] += init
+    return np.add.accumulate(slab, axis=0, out=slab)
 
 
 # --------------------------------------------------------------------------- pickle form

@@ -56,6 +56,7 @@ __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "WIRE_CAPS",
     "ProtocolError",
+    "byte_tag",
     "pack_str",
     "unpack_str",
     "read_exact",
@@ -139,6 +140,15 @@ def parse_hostport_url(url: str, scheme: str) -> tuple[str, int]:
 
 
 # ------------------------------------------------------------- frame helpers
+
+
+def byte_tag(frame: bytes) -> str:
+    """A frame's leading opcode/status byte as a plain span-tag string.
+
+    ``b"+"`` tags as ``"+"`` (not the Python repr ``"b'+'"``); a non-ASCII
+    byte keeps a readable escape (``"\\xff"``).
+    """
+    return frame[:1].decode("ascii", "backslashreplace")
 
 
 def pack_str(value: str) -> bytes:
@@ -558,7 +568,7 @@ class FrameService:
             t0 = time.perf_counter()
             response = self._handle_frame(payload)
             self._frame_seconds.observe(time.perf_counter() - t0)
-            frame_span.set_tag("status", repr(response[:1]))
+            frame_span.set_tag("status", byte_tag(response))
         self._on_frame_span(frame_span)
         return response
 
@@ -572,7 +582,7 @@ class FrameService:
         Services that know their opcode names override this (e.g. the
         serve protocol maps ``b"p"`` to ``"predict"``).
         """
-        return repr(payload[:1])
+        return byte_tag(payload)
 
     def _caps_doc(self) -> dict[str, Any]:
         return {

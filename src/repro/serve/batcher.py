@@ -1,25 +1,30 @@
 """Micro-batching for the online prediction path.
 
-The packed engine's cost profile (PR 4) is dominated by per-*call* work —
-the Python-level accumulation loop over the ensemble's trees plus dispatch
-overhead — while the per-*sample* cost inside a call is nearly free: a
-GB-750×depth-10 traversal of 64 rows costs barely more than one row.  An
-online server answering one request per predict call therefore wastes
-almost all of its capacity.  :class:`MicroBatcher` recovers it: concurrent
-predict requests queue up, a single worker thread drains whatever is queued
-*right now* into one stacked matrix, runs **one** packed traversal, and
-slices the result back to the callers.
+A packed prediction pays a fixed per-*call* cost — input checks,
+traversal set-up, one dispatch per depth level, the accumulation kernel —
+on top of its per-row work: on a 2-CPU box a GB-750×depth-10 predict of 8
+rows takes about 4.4× one row (0.70 ms vs 0.16 ms), not 8×.  Under
+concurrent load, a server that makes one predict call per request pays
+that fixed cost for every request.  :class:`MicroBatcher` amortises it:
+concurrent predict requests queue up, whatever is queued *right now* is
+stacked into one matrix, run through **one** packed traversal, and sliced
+back to the callers.
 
-Batching is adaptive with zero added latency: an idle server predicts a
-lone request immediately (the drain finds nothing else), while under load
-the batch grows by itself — every request that arrives during traversal
-``k`` rides traversal ``k + 1``.  No timer, no artificial delay tick.
+Batching is adaptive with zero added latency.  A request that finds the
+batcher idle runs its batch on its own (submitting) thread — no hand-off
+to another thread and no wake-up to wait for.  Requests that arrive while
+a batch is in flight queue up, and the worker thread runs everything
+queued as the next batch: every request that arrives during traversal
+``k`` rides traversal ``k + 1``.  No timer, no artificial delay tick.  The
+``_busy`` lock, held by whichever thread runs a batch, keeps one batch in
+flight at a time.
 
 The hard parity bar: a micro-batched prediction is **byte-identical** to
 predicting that request alone.  This holds because every prediction path
 behind it is row-independent — packed traversal routes each sample by its
-own features, and the accumulation (``acc += scale * slab[t]``) applies the
-same float-op sequence to each sample's lane regardless of which other rows
+own features, and the accumulation (one ``np.add.accumulate`` down the
+tree axis, see :func:`repro.ml.packed.running_sums`) applies the same
+float-op sequence to each sample's lane regardless of which other rows
 share the batch (pinned by ``tests/serve/test_batcher.py``).
 
 Failure containment: requests are shape/finiteness-validated *before* they
@@ -28,7 +33,7 @@ enter the queue, so one malformed request fails alone with a clean
 raises mid-batch, every rider of that batch receives *its own* chained copy
 of the error (concurrent re-raises of one shared instance would clobber
 each other's ``__traceback__``), the batch still counts into the volume
-statistics, and the worker keeps serving.
+statistics, and the batcher keeps serving.
 """
 
 from __future__ import annotations
@@ -46,16 +51,15 @@ from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["MicroBatcher"]
 
-_CLOSE = object()  # queue sentinel: drain and exit the worker loop
-
 
 class _Pending:
-    """One queued request: its rows, and a slot the worker fills.
+    """One queued request: its rows, and a slot the batch runner fills.
 
-    The worker stamps ``t_start``/``t_done`` (batch pickup and batch
-    completion) so the *submitter* thread — the one holding the request's
-    trace span — can attribute queue wait and traversal time to the right
-    hops without any cross-thread context propagation.
+    The thread that runs the batch stamps ``t_start``/``t_done`` (batch
+    pickup and batch completion) so the *submitter* thread — the one
+    holding the request's trace span — can attribute queue wait and
+    traversal time to the right hops without any cross-thread context
+    propagation.
     """
 
     __slots__ = ("X", "result", "error", "done", "t_enqueue", "t_start", "t_done")
@@ -101,9 +105,13 @@ class MicroBatcher:
         self.n_features = int(n_features)
         self.max_batch_rows = int(max_batch_rows)
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
-        # Guards the closed-flag/enqueue pair: once _CLOSE is enqueued no
-        # request can slip in behind it (FIFO + single consumer), so the
-        # worker's exit can never strand a submitter on done.wait().
+        # Held by whichever thread runs a batch: at most one in flight.
+        self._busy = threading.Lock()
+        # Set whenever the worker may have queued requests to run.
+        self._wake = threading.Event()
+        # Guards the closed-flag/enqueue pair: once the flag is set no
+        # request can slip into the queue, so the worker's final drain
+        # can never strand a submitter on done.wait().
         self._close_lock = threading.Lock()
         # Guards compound counter updates so stats() reads one consistent
         # batch's worth, exactly as before the typed-registry migration.
@@ -182,10 +190,21 @@ class MicroBatcher:
                 self._g_pending.inc()
             pending.t_enqueue = time.perf_counter()
             self._queue.put(pending)
+        if self._busy.acquire(blocking=False):
+            # Idle: run the batch right here instead of handing off to the
+            # worker and waiting for it to wake.
+            try:
+                self._drain()
+            finally:
+                self._busy.release()
+        else:
+            # A batch is in flight: the worker runs this request with
+            # everything else queued behind that batch.
+            self._wake.set()
         pending.done.wait()
         # Hop attribution happens here, in the submitter thread — the one
-        # that owns the request's trace context; the worker only stamped
-        # the batch pickup/completion times.
+        # that owns the request's trace context; whichever thread ran the
+        # batch only stamped the pickup/completion times.
         queue_wait = max(0.0, pending.t_start - pending.t_enqueue)
         traverse = max(0.0, pending.t_done - pending.t_start)
         self._h_queue_wait.observe(queue_wait)
@@ -199,9 +218,8 @@ class MicroBatcher:
     def close(self) -> None:
         """Stop the worker after it drains the queue (idempotent)."""
         with self._close_lock:
-            if not self._closed:
-                self._closed = True
-                self._queue.put(_CLOSE)
+            self._closed = True
+        self._wake.set()
         self._worker.join(timeout=5.0)
 
     def __enter__(self) -> "MicroBatcher":
@@ -214,23 +232,34 @@ class MicroBatcher:
 
     def _serve(self) -> None:
         while True:
-            item = self._queue.get()
-            if item is _CLOSE:
+            self._wake.wait()
+            self._wake.clear()
+            # Read the flag before draining: once it is set nothing more is
+            # enqueued, so this drain is the last one anybody needs.
+            closed = self._closed
+            while not self._queue.empty():
+                with self._busy:
+                    self._drain()
+            if closed:
                 return
-            batch = [item]
-            rows = item.X.shape[0]
-            # Drain what is queued *now*: everything that arrived while the
-            # previous batch was traversing rides this one.
-            while rows < self.max_batch_rows:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is _CLOSE:
-                    self._run_batch(batch)
-                    return
-                batch.append(extra)
-                rows += extra.X.shape[0]
+
+    def _drain(self) -> None:
+        """Run what is queued *now* as one batch; the caller holds ``_busy``.
+
+        Everything that arrived while the previous batch was traversing
+        rides this one, up to ``max_batch_rows`` (a lone oversized request
+        still runs).
+        """
+        batch: list = []
+        rows = 0
+        while rows < self.max_batch_rows:
+            try:
+                pending = self._queue.get_nowait()
+            except queue.Empty:
+                break
+            batch.append(pending)
+            rows += pending.X.shape[0]
+        if batch:
             self._run_batch(batch)
 
     def _run_batch(self, batch: list) -> None:

@@ -73,6 +73,7 @@ from repro.parallel.resilience import (
 from repro.parallel.wire import (
     MAX_FRAME,
     ProtocolError,
+    byte_tag,
     fetch_telemetry,
     negotiate_caps,
     parse_hostport_url,
@@ -379,8 +380,10 @@ class ServeClient:
                             )
                         if "context" in replica.caps:
                             wire_payload = wrap_context(payload, context)
+                    t0 = time.perf_counter()
                     write_frame(replica.wfile, wire_payload)
                     response = read_frame(replica.rfile)
+                    obs_trace.annotate("serve_wait", time.perf_counter() - t0)
                     self.circuits.record_success(replica.url)
                     return response[:1], response[1:]
                 except (OSError, ProtocolError, struct.error):
@@ -420,7 +423,7 @@ class ServeClient:
         # client wait (routing, failover, backoff rounds included) and its
         # context rides the wire to whichever replica answers.
         with obs_trace.span(
-            "serve.call", tags={"op": _OP_NAMES.get(op, repr(op))}
+            "serve.call", tags={"op": _OP_NAMES.get(op) or byte_tag(op)}
         ) as call_span:
             retry = self._policy.start(self._rng)
             while True:

@@ -425,7 +425,7 @@ class ServeServer(FrameService):
         return ST_ERR + b"overloaded: connection limit reached (retryable)"
 
     def _op_label(self, payload: bytes) -> str:
-        return _OP_NAMES.get(payload[:1]) or repr(payload[:1])
+        return _OP_NAMES.get(payload[:1]) or super()._op_label(payload)
 
     def _dispatch(self, request: bytes) -> bytes:
         op = request[:1]

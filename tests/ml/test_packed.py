@@ -20,10 +20,12 @@ from repro.ml.forest import RandomForestRegressor
 from repro.ml.gradient_boosting import GradientBoostingRegressor
 from repro.ml.linear import LinearRegression
 from repro.ml.packed import (
+    _BLOCK_SAMPLES,
     PACKED_STATE_VERSION,
     PackedEnsemble,
     committee_predictions,
     pack_trees_state,
+    running_sums,
     unpack_trees_state,
 )
 from repro.ml.tree import _TREE_LEAF, _TREE_UNDEFINED, DecisionTreeRegressor
@@ -466,3 +468,96 @@ class TestServingEdgeCases:
         for tree in gb.estimators_:
             reference += gb.learning_rate * tree.predict(X_new)
         assert np.array_equal(gb.predict(X_new), reference)
+
+
+class TestBlockBoundaries:
+    """Parity across traversal blocks: two full blocks plus a ragged one.
+
+    Every other fixture predicts fewer rows than one block, so these pin
+    that the in-place per-block accumulation starts each block afresh and
+    writes each block's lanes to the right output rows.
+    """
+
+    N_ROWS = 2 * _BLOCK_SAMPLES + 88
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        X, y, _ = _make_data(seed=91)
+        X_big = np.random.default_rng(92).normal(size=(self.N_ROWS, X.shape[1]))
+        return X, y, X_big
+
+    @staticmethod
+    def _sequential(trees, X, init, scale):
+        """The historical per-tree loop, one stage snapshot per tree."""
+        acc = np.full(X.shape[0], init)
+        stages = []
+        for tree in trees:
+            acc += scale * tree.predict(X)
+            stages.append(acc.copy())
+        return stages
+
+    def test_accumulate(self, data):
+        X, y, X_big = data
+        trees = [
+            DecisionTreeRegressor(max_depth=4, random_state=s).fit(X, y + s)
+            for s in range(9)
+        ]
+        packed = PackedEnsemble.from_trees(trees)
+        want = self._sequential(trees, X_big, 0.25, 0.1)
+        assert np.array_equal(packed.accumulate(X_big, init=0.25, scale=0.1), want[-1])
+        assert np.array_equal(
+            packed.accumulate(X_big, init=0.25, scale=0.1, n_trees=4), want[3]
+        )
+
+    def test_gradient_boosting_predict_and_staged(self, data):
+        X, y, X_big = data
+        gb = GradientBoostingRegressor(
+            n_estimators=30, max_depth=4, subsample=0.8, random_state=8
+        ).fit(X, y)
+        want = self._sequential(gb.estimators_, X_big, gb.init_, gb.learning_rate)
+        assert np.array_equal(gb.predict(X_big), want[-1])
+        staged = list(gb.staged_predict(X_big))
+        assert len(staged) == len(want)
+        for got, ref in zip(staged, want):
+            assert np.array_equal(got, ref)
+
+    def test_random_forest_predict_scale_one(self, data):
+        X, y, X_big = data
+        rf = RandomForestRegressor(n_estimators=12, max_depth=5, random_state=9).fit(X, y)
+        total = self._sequential(rf.estimators_, X_big, 0.0, 1.0)[-1]
+        assert np.array_equal(rf.predict(X_big), total / len(rf.estimators_))
+
+    def test_committee_with_unequal_tree_counts(self, data):
+        X, y, X_big = data
+        members = [
+            GradientBoostingRegressor(
+                n_estimators=n, max_depth=3, subsample=0.8, random_state=n
+            ).fit(X, y)
+            for n in (3, 11, 7)
+        ]
+        want = np.column_stack([
+            self._sequential(m.estimators_, X_big, m.init_, m.learning_rate)[-1]
+            for m in members
+        ])
+        assert np.array_equal(committee_predictions(members, X_big), want)
+
+
+class TestRunningSums:
+    """The one accumulation kernel behind every sequential ensemble sum."""
+
+    def test_overwrites_its_slab_with_the_sequential_sums(self):
+        rng = np.random.default_rng(93)
+        leaves = rng.normal(size=(6, 5))
+        slab = leaves.copy()
+        out = running_sums(slab, 1.5, 0.3)
+        assert out is slab
+        acc = np.full(5, 1.5)
+        for row, leaf in zip(slab, leaves):
+            acc += 0.3 * leaf
+            assert np.array_equal(row, acc)
+
+    def test_segments_need_a_tree(self):
+        trees, _, X_new = _fit_random_trees(seed=94, n_trees=3)
+        packed = PackedEnsemble.from_trees(trees)
+        with pytest.raises(ValueError, match="at least one tree"):
+            packed.segment_sums(X_new, [(2, 0.0, 1.0), (0, 0.0, 1.0)])

@@ -183,19 +183,29 @@ class TestHostileClients:
                 assert _healthy_echo(echo, b"still-serving") == b"+still-serving"
 
     def test_no_thread_outlives_its_connection_by_more_than_timeout(self, echo):
-        baseline = threading.active_count()
+        # Follow this test's handler threads by identity.  A thread left
+        # over from an earlier test can exit at any moment, so comparing
+        # active_count() with a baseline could miss the new threads (or
+        # let an unrelated exit mask a leaked one).
+        before = set(threading.enumerate())
+        handlers: set = set()
+
+        def spawned() -> int:
+            handlers.update(set(threading.enumerate()) - before)
+            return len(handlers)
+
         socks = [
             socket.create_connection((echo.host, echo.port), timeout=5.0)
             for _ in range(3)
         ]
         try:
-            assert _wait_until(lambda: threading.active_count() >= baseline + 3)
+            assert _wait_until(lambda: spawned() >= 3)
             deadline = time.monotonic() + self.TIMEOUT * 8
             while time.monotonic() < deadline:
-                if threading.active_count() <= baseline:
+                if not any(t.is_alive() for t in handlers):
                     break
                 time.sleep(0.02)
-            assert threading.active_count() <= baseline
+            assert not any(t.is_alive() for t in handlers)
         finally:
             for sock in socks:
                 sock.close()

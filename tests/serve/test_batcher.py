@@ -8,7 +8,9 @@ and nothing else.
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -104,6 +106,104 @@ class TestParity:
         finally:
             release.set()
             batcher.close()
+
+
+class TestCallerThread:
+    def test_lone_request_runs_on_the_submitting_thread(self, tiny_advisor, probe_X):
+        """An idle batcher runs the batch right on the caller's thread: no
+        hand-off to the worker, no wake-up to wait for."""
+        ran_on = []
+
+        def predict(X):
+            ran_on.append(threading.get_ident())
+            return tiny_advisor.estimator.predict(X)
+
+        with MicroBatcher(predict, n_features=4) as batcher:
+            got = batcher.submit(probe_X[:1])
+            assert batcher.stats()["batches"] == 1
+        assert ran_on == [threading.get_ident()]
+        assert np.array_equal(got, tiny_advisor.estimator.predict(probe_X[:1]))
+
+    def test_close_answers_requests_queued_behind_a_batch(self, tiny_advisor, probe_X):
+        """close() while a batch is in flight: the requests queued behind it
+        still get their answers, then the worker exits."""
+        local = tiny_advisor.estimator.predict(probe_X)
+        release = threading.Event()
+        first_entered = threading.Event()
+
+        def gated_predict(X):
+            first_entered.set()
+            release.wait(timeout=10.0)
+            return tiny_advisor.estimator.predict(X)
+
+        batcher = MicroBatcher(gated_predict, n_features=4)
+        results = [None] * 4
+
+        def submit(i):
+            results[i] = batcher.submit(probe_X[i:i + 1])[0]
+
+        threads = [threading.Thread(target=submit, args=(0,))]
+        threads[0].start()
+        try:
+            assert first_entered.wait(timeout=10.0)
+            for i in range(1, 4):
+                threads.append(threading.Thread(target=submit, args=(i,)))
+                threads[-1].start()
+            deadline = time.monotonic() + 10.0
+            while batcher._queue.qsize() < 3 and time.monotonic() < deadline:  # noqa: SLF001
+                pass
+            assert batcher._queue.qsize() == 3  # noqa: SLF001 - deterministic gate
+            closer = threading.Thread(target=batcher.close)
+            closer.start()
+            release.set()
+            closer.join(timeout=10.0)
+            for t in threads:
+                t.join(timeout=10.0)
+            assert not closer.is_alive()
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            release.set()
+            batcher.close()
+        assert not batcher._worker.is_alive()  # noqa: SLF001
+        assert results == [local[i] for i in range(4)]
+        with pytest.raises(RuntimeError, match="closed"):
+            batcher.submit(probe_X[:1])
+
+
+class TestStress:
+    def test_fast_switching_submitters_lose_no_request(self, tiny_advisor, probe_X):
+        """More submitters than cores, a tiny switch interval and a 3-row
+        cap (so drains leave work behind): every request is answered once,
+        byte-identical, whichever thread ran its batch."""
+        local = tiny_advisor.estimator.predict(probe_X)
+        n_threads, per_thread = 12, 100
+        answers = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with MicroBatcher(
+                tiny_advisor.estimator.predict, n_features=4, max_batch_rows=3
+            ) as batcher:
+                def submit(i):
+                    for r in range(per_thread):
+                        j = (i + r) % len(probe_X)
+                        answers[(i, r)] = (j, batcher.submit(probe_X[j:j + 1])[0])
+
+                threads = [
+                    threading.Thread(target=submit, args=(i,)) for i in range(n_threads)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in threads)
+                stats = batcher.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(answers) == n_threads * per_thread
+        assert all(y == local[j] for j, y in answers.values())
+        assert stats["requests"] == n_threads * per_thread
+        assert stats["pending"] == 0
 
 
 class TestValidation:
