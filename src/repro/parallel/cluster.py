@@ -83,19 +83,16 @@ from repro.parallel.executors import (
     register_executor,
 )
 from repro.parallel.resilience import RetryPolicy, policy_rng
-from repro.parallel.store import _MAGIC
+from repro.parallel.store import seal, unseal
 from repro.parallel.wire import (
     DEFAULT_MAX_CONNECTIONS,
     DEFAULT_TIMEOUT,
+    FrameConnection,
     FrameService,
     ProtocolError,
-    negotiate_caps,
     pack_str,
     parse_hostport_url,
-    read_frame,
     unpack_str,
-    wrap_context,
-    write_frame,
 )
 
 __all__ = [
@@ -187,30 +184,14 @@ def _env_seconds(name: str, default: float) -> float:
     return max(0.0, value)
 
 
-def _seal_task(fn: Callable[[Any], Any], task: Any) -> bytes:
-    """Seal one ``(fn, task)`` pair as a versioned pickle payload."""
-    return _MAGIC + pickle.dumps((fn, task), protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _seal_value(value: Any) -> bytes:
-    return _MAGIC + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _open_payload(blob: bytes) -> Any:
-    """Unpickle a versioned payload; raises ``ProtocolError`` on bad framing."""
-    if not blob.startswith(_MAGIC):
-        raise ProtocolError("payload does not carry the expected version magic")
-    return pickle.loads(blob[len(_MAGIC):])
-
-
 def _seal_exception(exc: BaseException) -> bytes:
     """Seal a task exception so it survives the wire (picklable or not)."""
     try:
-        blob = _seal_value(exc)
-        pickle.loads(blob[len(_MAGIC):])  # must round-trip worker-side
+        blob = seal(exc)
+        unseal(blob)  # must round-trip worker-side
         return blob
     except Exception:
-        return _seal_value(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        return seal(RuntimeError(f"{type(exc).__name__}: {exc}"))
 
 
 # --------------------------------------------------------------- dispatcher
@@ -374,18 +355,6 @@ class ClusterDispatcher(FrameService):
                 self._c_tasks_redispatched.inc()
 
     # ------------------------------------------------------------- dispatch
-
-    def _handle_frame(self, request: bytes) -> bytes:
-        try:
-            status, body = self._dispatch(request)
-        except ProtocolError:
-            status, body = _ST_ERR, b"malformed request"
-        except Exception:
-            status, body = _ST_ERR, b"internal error"
-        return status + body
-
-    def _internal_error_frame(self) -> bytes:
-        return _ST_ERR + b"internal error"
 
     def _dispatch(self, request: bytes) -> tuple[bytes, bytes]:
         op = request[:1]
@@ -559,11 +528,8 @@ def dispatcher_status(
     state = policy.start(policy_rng(retry_seed))
     while True:
         try:
-            with socket.create_connection((host, port), timeout=timeout) as sock:
-                sock.settimeout(timeout)
-                with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
-                    write_frame(wfile, _OP_STATS)
-                    response = read_frame(rfile)
+            with FrameConnection(host, port, timeout=timeout) as conn:
+                response = conn.request(_OP_STATS)
             break
         except OSError as exc:
             delay = state.note_failure()
@@ -592,11 +558,14 @@ def dispatcher_status(
 class ClusterWorker:
     """The worker agent: poll the dispatcher, run tasks, push results.
 
-    One persistent connection, serialised by a lock; a background thread
-    heartbeats through it while the main loop is busy executing a task, so
-    long fits do not read as death.  A lost connection is retried (with a
-    fresh HELLO — the dispatcher hands out a new id) until the dispatcher
-    has been unreachable for ``reconnect_window`` seconds, at which point
+    One persistent :class:`~repro.parallel.wire.FrameConnection`,
+    serialised by a lock; a background thread heartbeats through it while
+    the main loop is busy executing a task, so long fits do not read as
+    death.  The connection owns the dial, the trace context and the
+    ``cluster_wait`` hop; this class owns registration and the redial
+    policy.  A lost connection is retried (with a fresh HELLO — the
+    dispatcher hands out a new id) until the dispatcher has been
+    unreachable for ``reconnect_window`` seconds, at which point
     :meth:`run` returns; ``repro-chem cluster-work`` exposes the window as
     ``--idle-exit`` so fleets drain themselves after the run ends.
 
@@ -639,14 +608,12 @@ class ClusterWorker:
         )
         self.tasks_done = 0
         self._io_lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-        self._rfile = None
-        self._wfile = None
+        self._conn = FrameConnection(
+            self.host, self.port, timeout=timeout, scheme=CLUSTER_URL_SCHEME
+        )
+        #: The id the dispatcher assigned at HELLO; ``None`` until
+        #: registered on the current connection.
         self._worker_id: Optional[str] = None
-        # Dispatcher wire capabilities (None = not yet probed on this
-        # connection); probed lazily and only when tracing is active, so
-        # tracing-off wire behaviour is byte-identical to before.
-        self._caps: Optional[frozenset] = None
         self._stop = threading.Event()
 
     # ---------------------------------------------------------- connection
@@ -656,63 +623,38 @@ class ClusterWorker:
         self._stop.set()
 
     def _teardown(self) -> None:
-        for closer in (self._rfile, self._wfile, self._sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
-        self._sock = self._rfile = self._wfile = None
+        """Drop the connection and the registration (caller holds ``_io_lock``)."""
+        self._conn.close()
         self._worker_id = None
-        self._caps = None
-
-    def _ensure_connected(self) -> None:
-        if self._sock is not None:
-            return
-        sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        sock.settimeout(self.timeout)
-        self._sock = sock
-        self._rfile = sock.makefile("rb")
-        self._wfile = sock.makefile("wb")
-        write_frame(self._wfile, _OP_HELLO + pack_str(self.name))
-        response = read_frame(self._rfile)
-        if response[:1] != _ST_OK:
-            raise ProtocolError("dispatcher refused registration")
-        self._worker_id, _ = unpack_str(response, 1)
 
     def _request(self, build: Callable[[str], bytes]) -> Optional[tuple[bytes, bytes]]:
-        """One round trip (connecting + registering first if needed).
+        """One round trip (registering first if needed).
 
         ``build`` maps the current worker id to the request frame — the id
-        is only known post-HELLO, which happens inside the lock on a fresh
-        connection.  Returns ``None`` on any transport failure, after
-        tearing the connection down so the next call redials.
+        is only known post-HELLO, which happens inside the lock whenever
+        the worker is unregistered.  Returns ``None`` on any transport
+        failure, after tearing down so the next call redials.
         """
         with self._io_lock:
             try:
-                self._ensure_connected()
-                payload = build(self._worker_id)
-                context = obs_trace.wire_context()
-                if context is not None:
-                    if self._caps is None:
-                        self._caps = negotiate_caps(self._rfile, self._wfile)
-                    if "context" in self._caps:
-                        payload = wrap_context(payload, context)
-                write_frame(self._wfile, payload)
-                response = read_frame(self._rfile)
-                return response[:1], response[1:]
+                if self._worker_id is None:
+                    response = self._conn.request(_OP_HELLO + pack_str(self.name))
+                    if response[:1] != _ST_OK:
+                        raise ProtocolError("dispatcher refused registration")
+                    self._worker_id, _ = unpack_str(response, 1)
+                response = self._conn.request(build(self._worker_id))
             except (OSError, ProtocolError):
                 self._teardown()
                 return None
+        return response[:1], response[1:]
 
     # ---------------------------------------------------------------- loop
 
     def _heartbeat_loop(self) -> None:
         while not self._stop.wait(self.heartbeat_interval):
-            # Only beat over an existing connection: the main loop owns
-            # redialing, so a dead dispatcher costs one connect attempt per
-            # poll, not two.
-            if self._sock is not None:
+            # Only beat while registered: the main loop owns redialing, so
+            # a dead dispatcher costs one connect attempt per poll, not two.
+            if self._worker_id is not None:
                 self._request(lambda wid: _OP_BEAT + pack_str(wid))
 
     def run(self) -> int:
@@ -753,7 +695,9 @@ class ClusterWorker:
                     self._run_and_report(token, body[offset:])
                 elif status == _ST_ERR:
                     # "unknown worker": we were presumed dead — re-register.
-                    self._teardown()
+                    # Under the lock: the heartbeat may be mid-request.
+                    with self._io_lock:
+                        self._teardown()
                 else:
                     self._stop.wait(self.poll_interval)
         finally:
@@ -766,7 +710,7 @@ class ClusterWorker:
         from repro.parallel.backend import _call_task
 
         try:
-            fn, task = _open_payload(blob)
+            fn, task = unseal(blob)
         except Exception as exc:
             # An unusable payload is wire rot, not a task failure: report
             # it as BAD so the dispatcher re-queues the pristine blob
@@ -789,7 +733,7 @@ class ClusterWorker:
                     status, payload = _RESULT_EXC, _seal_exception(exc)
                 else:
                     try:
-                        status, payload = _RESULT_OK, _seal_value(value)
+                        status, payload = _RESULT_OK, seal(value)
                     except Exception as exc:
                         status, payload = _RESULT_EXC, _seal_exception(
                             RuntimeError(f"task result does not pickle: {exc!r}")
@@ -908,7 +852,7 @@ class ClusterExecutor(Executor):
             raise ExecutorUnavailableError(
                 f"cannot bind cluster dispatcher at {url}: {exc}"
             ) from exc
-        payloads = [_seal_task(fn, task) for task in tasks]
+        payloads = [seal((fn, task)) for task in tasks]
         worker_wait = (
             self.worker_wait
             if self.worker_wait is not None
@@ -919,7 +863,7 @@ class ClusterExecutor(Executor):
         failure: Optional[BaseException] = None
         for idx, (ok, blob) in enumerate(raw):
             try:
-                value = _open_payload(blob)
+                value = unseal(blob)
             except Exception as exc:
                 # A result that does not even unpickle is wire/worker rot,
                 # not a task failure: recompute the batch serially.

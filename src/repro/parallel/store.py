@@ -64,6 +64,8 @@ import numpy as np
 __all__ = [
     "MemoStore",
     "key_digest",
+    "seal",
+    "unseal",
     "make_store",
     "configure_store",
     "get_store",
@@ -180,6 +182,28 @@ def key_digest(key: Any) -> str:
     return h.hexdigest()
 
 
+def seal(value: Any, magic: bytes = _MAGIC) -> bytes:
+    """``value`` as a versioned pickle: ``magic`` followed by the pickle bytes.
+
+    Every pickled payload in repro uses this one envelope; each format
+    keeps its own magic (memo payloads ``RPMEMO``, registry artifacts
+    ``RPMODEL``), which carries the format version.
+    """
+    return magic + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def unseal(blob: bytes, magic: bytes = _MAGIC) -> Any:
+    """Open a :func:`seal` payload; ``ValueError`` when ``magic`` is not its prefix.
+
+    A blob that carries the magic but does not unpickle raises whatever
+    ``pickle.loads`` raises, so callers that must never fail catch
+    ``Exception``.
+    """
+    if not blob.startswith(magic):
+        raise ValueError("payload does not carry the expected version magic")
+    return pickle.loads(blob[len(magic):])
+
+
 def _freeze_nested(obj: Any) -> Any:
     """Mark every ndarray inside ``obj`` read-only (recursing containers)."""
     if isinstance(obj, np.ndarray):
@@ -251,21 +275,16 @@ class MemoStore:
             with self._lock:
                 self.misses += 1
             return default
-        if not blob.startswith(_MAGIC):
-            # Foreign bytes or a payload written by a different format
-            # version: invalidate rather than risk misreading it.
-            with self._lock:
-                self.misses += 1
-                if not blob.startswith(_MAGIC_PREFIX):
-                    self.errors += 1
-            self._discard(path)
-            return default
         try:
-            value = pickle.loads(blob[len(_MAGIC):])
+            value = unseal(blob)
         except Exception:
+            # Foreign, corrupt, or written by a different format version:
+            # invalidate rather than risk misreading it.  Only a stale
+            # version is a plain miss; the rest also count as errors.
             with self._lock:
                 self.misses += 1
-                self.errors += 1
+                if blob.startswith(_MAGIC) or not blob.startswith(_MAGIC_PREFIX):
+                    self.errors += 1
             self._discard(path)
             return default
         with self._lock:
@@ -279,7 +298,7 @@ class MemoStore:
             self._tmp_seq += 1
             seq = self._tmp_seq
         tmp = path.parent / f".{path.name}.{os.getpid()}.{seq}.tmp"
-        blob = _MAGIC + pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = seal(value)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as fh:

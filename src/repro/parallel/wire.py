@@ -8,13 +8,18 @@ Strings inside a frame are ``!H`` length-prefixed.  Frames above
 :data:`MAX_FRAME` (1 GiB) are rejected outright — a garbled length prefix
 must read as a protocol error, never as a multi-gigabyte allocation.
 
-This module is the single source of truth for that contract: the frame
-read/write helpers, the size guard, and the server scaffolding (a
+This module is the single source of truth for that contract, on both
+ends of the socket.  The frame read/write helpers and the size guard live
+here.  So does the server half: :class:`FrameService`, a
 ``ThreadingTCPServer`` that tracks open connections so shutdown severs them
-like a real process kill, plus the request-loop handler) live here and are
-consumed by every framed service (memo, serve, and the cluster
-dispatcher).  Anything protocol-*semantic* — opcodes, status bytes, body
-encodings, failure policies — stays with each service.
+like a real process kill, plus the request-loop handler; the memo server,
+the serve server and the cluster dispatcher all run on it.  The client half
+is :class:`FrameConnection`: the dial, the lazy caps probe, the trace-context
+envelope, the round trip with its wait hop, and teardown.  ``RemoteMemoStore``,
+``ServeClient``, ``ClusterWorker`` and the one-shot observer dials
+(:func:`fetch_telemetry`, ``dispatcher_status``) all talk through it.
+Anything protocol-*semantic* — opcodes, status bytes, body encodings,
+failure policies — stays with each service and each client.
 
 Two robustness guards protect the thread-per-connection model itself:
 
@@ -23,8 +28,10 @@ Two robustness guards protect the thread-per-connection model itself:
   park its handler thread in ``read_exact`` forever — threads accumulated
   without bound.  Every handler socket now carries a timeout; an idle or
   mid-frame stall closes the connection and reclaims the thread.  Healthy
-  long-lived clients are unaffected: both ``RemoteMemoStore`` and
-  ``ServeClient`` transparently reconnect on their next operation.
+  long-lived clients are unaffected: a :class:`FrameConnection` whose
+  server hung up fails that round trip and redials on the next.  The memo
+  and serve clients spend their one retry on it; the cluster worker
+  redials and registers again on its next poll.
 * **Admission control** (:data:`DEFAULT_MAX_CONNECTIONS`): past the cap,
   new connections are shed (accepted and immediately closed) instead of
   spawning yet another handler thread, so overload degrades by refusing
@@ -67,6 +74,7 @@ __all__ = [
     "negotiate_caps",
     "fetch_telemetry",
     "parse_hostport_url",
+    "FrameConnection",
     "FrameService",
 ]
 
@@ -258,11 +266,8 @@ def fetch_telemetry(host: str, port: int, *, timeout: float = 5.0) -> dict[str, 
     :class:`ProtocolError` when the peer refuses the opcode (an old build)
     or returns junk — callers map both onto clean non-zero exits.
     """
-    with socket.create_connection((host, port), timeout=timeout) as sock:
-        sock.settimeout(timeout)
-        with sock.makefile("rb") as rfile, sock.makefile("wb") as wfile:
-            write_frame(wfile, OP_TELEMETRY)
-            response = read_frame(rfile)
+    with FrameConnection(host, port, timeout=timeout) as conn:
+        response = conn.request(OP_TELEMETRY)
     if response[:1] != b"+":
         raise ProtocolError(
             "peer refused telemetry (pre-observability build?): "
@@ -275,6 +280,94 @@ def fetch_telemetry(host: str, port: int, *, timeout: float = 5.0) -> dict[str, 
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ProtocolError("telemetry response is not a snapshot document")
     return doc
+
+
+# ------------------------------------------------------------------- client
+
+
+class FrameConnection:
+    """One client connection to a framed repro service, dialled lazily.
+
+    Owns the transport every wire client shares: the dial, the buffered
+    reader and writer, one round trip per :meth:`request`, and teardown.
+    ``timeout`` bounds the connect and every read.  A failed round trip
+    closes the connection, so the next request redials.  What a failure
+    means stays the caller's policy, and so does locking: this class is
+    not thread-safe.
+
+    ``scheme`` (``"memo://"``, ``"serve://"``, ``"cluster://"``) makes the
+    connection traced.  Under a live span a request then probes the peer's
+    caps once per connection, rides the context envelope if the peer
+    speaks it, and on success records its write-to-read wait as the
+    scheme's hop (``memo_wait``, ``serve_wait``, ``cluster_wait``).  With
+    tracing off, or no live span, there is no probe and the payload goes
+    out bare.  The
+    extension opcodes :data:`OP_CAPS` and :data:`OP_TELEMETRY` always go
+    out bare, because a peer answers a wrapped one as an unknown opcode.
+    A connection without a scheme (the one-shot observer dials) sends
+    every frame bare and records no hop.
+    """
+
+    def __init__(
+        self, host: str, port: int, *, timeout: float, scheme: Optional[str] = None
+    ) -> None:
+        self.host = host
+        self.port = port
+        self.timeout = timeout
+        self._hop = f"{scheme.split(':', 1)[0]}_wait" if scheme else None
+        self._sock: Optional[socket.socket] = None
+        self._rfile = None
+        self._wfile = None
+        #: Wire extensions of the connected peer; ``None`` until probed on
+        #: this connection.
+        self.caps: Optional[frozenset] = None
+
+    def request(self, payload: bytes) -> bytes:
+        """Send one request frame (dialling first if needed); return the response.
+
+        Raises ``OSError`` or :class:`ProtocolError`, after closing the
+        connection, when the dial or the round trip fails.
+        """
+        traced = self._hop is not None and payload[:1] not in (OP_CAPS, OP_TELEMETRY)
+        try:
+            if self._sock is None:
+                self._sock = socket.create_connection(
+                    (self.host, self.port), timeout=self.timeout
+                )
+                self._rfile = self._sock.makefile("rb")
+                self._wfile = self._sock.makefile("wb")
+            context = obs_trace.wire_context() if traced else None
+            if context is not None:
+                if self.caps is None:
+                    self.caps = negotiate_caps(self._rfile, self._wfile)
+                if "context" in self.caps:
+                    payload = wrap_context(payload, context)
+            t0 = time.perf_counter()
+            write_frame(self._wfile, payload)
+            response = read_frame(self._rfile)
+        except (OSError, ProtocolError):
+            self.close()
+            raise
+        if traced:
+            obs_trace.annotate(self._hop, time.perf_counter() - t0)
+        return response
+
+    def close(self) -> None:
+        """Drop the connection (idempotent); the next request redials."""
+        for closer in (self._rfile, self._wfile, self._sock):
+            if closer is not None:
+                try:
+                    closer.close()
+                except OSError:
+                    pass
+        self._sock = self._rfile = self._wfile = None
+        self.caps = None
+
+    def __enter__(self) -> "FrameConnection":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
 
 # ------------------------------------------------------------------- server
@@ -407,8 +500,9 @@ class _TrackingTCPServer(socketserver.ThreadingTCPServer):
 class FrameService:
     """Lifecycle scaffolding for a thread-per-connection framed TCP service.
 
-    Subclasses implement :meth:`_handle_frame` (request frame -> response
-    frame) and set :attr:`scheme` so :attr:`url` renders the right URL
+    Subclasses implement :meth:`_dispatch` (request -> status byte and
+    body), or override :meth:`_handle_frame` to build whole response
+    frames, and set :attr:`scheme` so :attr:`url` renders the right URL
     flavour.  ``port=0`` binds an ephemeral port (see :attr:`port`/:attr:`url`
     for the actual address) — what in-process tests use.
 
@@ -636,7 +730,22 @@ class FrameService:
         """Hook called after a traced frame finishes (slow-log lives here)."""
 
     def _handle_frame(self, request: bytes) -> bytes:
-        """Map one request frame to one response frame (status + body)."""
+        """Map one request frame to one response frame (status + body).
+
+        The default wraps :meth:`_dispatch`: a :class:`ProtocolError`
+        answers ``!malformed request``, any other exception the
+        :meth:`_internal_error_frame`.
+        """
+        try:
+            status, body = self._dispatch(request)
+        except ProtocolError:
+            return b"!malformed request"
+        except Exception:
+            return self._internal_error_frame()
+        return status + body
+
+    def _dispatch(self, request: bytes) -> tuple[bytes, bytes]:
+        """Map one request to ``(status, body)``; ``ProtocolError`` if malformed."""
         raise NotImplementedError
 
     def _internal_error_frame(self) -> bytes:

@@ -3,9 +3,11 @@
 :class:`ServeClient` is the user-facing handle on one — or, since PR 8, a
 *fleet* of — running :class:`~repro.serve.server.ServeServer` replicas:
 ``predict`` rows, ``ask`` the STQ/BQ questions, probe ``health``/``stats``.
-One persistent connection per replica per instance, each serialised by its
-own lock (one client per thread is the cheap way to fan out — see
-``benchmarks/serve_throughput.py``).
+One persistent :class:`~repro.parallel.wire.FrameConnection` per replica
+per instance, each serialised by its own lock (one client per thread is the
+cheap way to fan out — see ``benchmarks/serve_throughput.py``).  The
+connection owns the dial, the trace context and the ``serve_wait`` hop;
+this module owns routing, failover and the failure contract.
 
 Fleet routing: constructed with several ``serve://`` URLs, the client
 consistent-hashes each request — the hash key is the full request payload,
@@ -55,8 +57,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import socket
-import struct
 import threading
 import time
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -72,14 +72,11 @@ from repro.parallel.resilience import (
 )
 from repro.parallel.wire import (
     MAX_FRAME,
+    FrameConnection,
     ProtocolError,
     byte_tag,
     fetch_telemetry,
-    negotiate_caps,
     parse_hostport_url,
-    read_frame,
-    wrap_context,
-    write_frame,
 )
 from repro.serve.server import (
     OP_ASK,
@@ -132,34 +129,20 @@ def parse_serve_url(url: str) -> tuple[str, int]:
 
 
 class _Replica:
-    """One replica's connection state: socket, lock, request counter.
+    """One replica's connection, its lock and its request counter.
 
     Health (circuit state, backoff windows) lives in the client's shared
     :class:`~repro.parallel.resilience.HealthTracker`, keyed by URL.
     """
 
-    def __init__(self, url: str) -> None:
-        self.host, self.port = parse_serve_url(url)
-        self.url = f"{SERVE_URL_SCHEME}{self.host}:{self.port}"
-        self.sock: Optional[socket.socket] = None
-        self.rfile = None
-        self.wfile = None
+    def __init__(self, url: str, timeout: float) -> None:
+        host, port = parse_serve_url(url)
+        self.url = f"{SERVE_URL_SCHEME}{host}:{port}"
+        self.conn = FrameConnection(
+            host, port, timeout=timeout, scheme=SERVE_URL_SCHEME
+        )
         self.lock = threading.Lock()
         self.requests = 0
-        # Wire extensions this connection's peer speaks; None = not yet
-        # probed.  Probing happens lazily, and only when tracing is on —
-        # with tracing off the client's bytes are identical to PR 9.
-        self.caps: Optional[frozenset] = None
-
-    def teardown(self) -> None:
-        for closer in (self.rfile, self.wfile, self.sock):
-            if closer is not None:
-                try:
-                    closer.close()
-                except OSError:
-                    pass
-        self.sock = self.rfile = self.wfile = None
-        self.caps = None
 
 
 class ServeClient:
@@ -191,7 +174,7 @@ class ServeClient:
             u = u.strip()
             if not u:
                 continue
-            replica = _Replica(u)
+            replica = _Replica(u, timeout)
             if replica.url in seen:
                 continue
             seen[replica.url] = None
@@ -200,9 +183,7 @@ class ServeClient:
             raise ValueError("ServeClient needs at least one serve:// URL.")
         self._replicas = replicas
         self.urls = [r.url for r in replicas]
-        # Back-compat: the single-server surface everyone already uses.
         self.url = replicas[0].url
-        self.host, self.port = replicas[0].host, replicas[0].port
         self.timeout = timeout
         self.retry_delay = retry_delay
         self._rng = policy_rng(retry_seed)
@@ -328,22 +309,13 @@ class ServeClient:
         """Drop all connections (the client stays usable; reconnects lazily)."""
         for replica in self._replicas:
             with replica.lock:
-                replica.teardown()
+                replica.conn.close()
 
     def __enter__(self) -> "ServeClient":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-    def _connect(self, replica: _Replica) -> None:
-        sock = socket.create_connection(
-            (replica.host, replica.port), timeout=self.timeout
-        )
-        sock.settimeout(self.timeout)
-        replica.sock = sock
-        replica.rfile = sock.makefile("rb")
-        replica.wfile = sock.makefile("wb")
 
     def _request_replica(
         self, replica: _Replica, payload: bytes, *, probe: bool = False
@@ -362,46 +334,22 @@ class ServeClient:
                     f"(circuit open; backing off {remaining:.1f}s)"
                 )
             replica.requests += 1
+            # The connection wraps the trace context around the payload at
+            # send time, so per-request trace ids never reach the routing
+            # key and never scatter the consistent-hash ring.
             for attempt in (0, 1):
                 try:
-                    if replica.sock is None:
-                        self._connect(replica)
-                    # Trace context is attached at *send* time, never in
-                    # the routing key: per-request trace ids must not
-                    # scatter the consistent-hash ring.  Old peers (no
-                    # "context" cap) get the bare payload — that is the
-                    # mixed-fleet contract.
-                    wire_payload = payload
-                    context = obs_trace.wire_context()
-                    if context is not None:
-                        if replica.caps is None:
-                            replica.caps = negotiate_caps(
-                                replica.rfile, replica.wfile
-                            )
-                        if "context" in replica.caps:
-                            wire_payload = wrap_context(payload, context)
-                    t0 = time.perf_counter()
-                    write_frame(replica.wfile, wire_payload)
-                    response = read_frame(replica.rfile)
-                    obs_trace.annotate("serve_wait", time.perf_counter() - t0)
-                    self.circuits.record_success(replica.url)
-                    return response[:1], response[1:]
-                except (OSError, ProtocolError, struct.error):
-                    replica.teardown()
+                    response = replica.conn.request(payload)
+                except (OSError, ProtocolError):
+                    continue
+                self.circuits.record_success(replica.url)
+                return response[:1], response[1:]
             self.circuits.record_failure(replica.url)
             remaining = self.circuits.open_remaining(replica.url)
             raise ServeUnavailableError(
                 f"serve server {replica.url} is unreachable or misbehaving "
                 f"(retried once; backing off {remaining:.1f}s)"
             )
-
-    def _request(self, payload: bytes) -> tuple[bytes, bytes]:
-        """One fleet-routed round trip (raw status + body, no failover).
-
-        Kept for the handshake path (``ping``) and tests; ``_call`` layers
-        failover and retry rounds on top.
-        """
-        return self._request_replica(self._replicas[self._route(payload)[0]], payload)
 
     def _bad_response(self, replica: _Replica, reason: str) -> ServeUnavailableError:
         """A decodable-frame-undecodable-body reply: count it as a failure.
@@ -592,8 +540,8 @@ class ServeClient:
         for replica in self._replicas:
             try:
                 out[replica.url] = fetch_telemetry(
-                    replica.host,
-                    replica.port,
+                    replica.conn.host,
+                    replica.conn.port,
                     timeout=self.timeout if timeout is None else timeout,
                 )
             except (OSError, ProtocolError) as exc:

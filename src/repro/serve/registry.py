@@ -38,7 +38,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import re
 import threading
 import time
@@ -46,6 +45,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel.store import seal, unseal
 
 __all__ = ["ModelRegistry", "warm_model", "REGISTRY_FORMAT_VERSION"]
 
@@ -181,7 +181,7 @@ class ModelRegistry:
         readers see either the old complete artifact or the new one, never
         a half state.
         """
-        blob = _MAGIC + pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = seal(model, _MAGIC)
         digest = hashlib.sha1(blob).hexdigest()
         path = self.artifact_path(digest)
         if not path.exists():
@@ -242,12 +242,11 @@ class ModelRegistry:
         except OSError:
             self._count(misses=1)
             return None
-        if not blob.startswith(_MAGIC) or hashlib.sha1(blob).hexdigest() != digest:
-            self._count(misses=1, errors=1)
-            self._discard(path)
-            return None
         try:
-            model = pickle.loads(blob[len(_MAGIC):])
+            # Verify the bytes against their address before unpickling them.
+            if hashlib.sha1(blob).hexdigest() != digest:
+                raise ValueError(f"artifact {digest} does not match its digest")
+            model = unseal(blob, _MAGIC)
         except Exception:
             self._count(misses=1, errors=1)
             self._discard(path)

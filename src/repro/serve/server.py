@@ -374,9 +374,6 @@ class ServeServer(FrameService):
             self._c_errors.inc()
             return self._internal_error_frame()
 
-    def _internal_error_frame(self) -> bytes:
-        return ST_ERR + b"internal error"
-
     def _force_frame_spans(self) -> bool:
         # --slow-ms needs per-frame spans to measure against even when
         # tracing is globally off (spans then stay in the ring; nothing

@@ -14,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.obs.trace import configure_tracing, recent_spans
+from repro.obs.trace import configure_tracing, recent_spans, span
 from repro.parallel.cluster import (
     ClusterExecutor,
     ClusterWorker,
+    dispatcher_status,
     ensure_dispatcher,
     shutdown_dispatchers,
 )
@@ -89,7 +90,7 @@ class TestServeProtocol:
             try:
                 traced = client.predict(probe_X)
                 # Caps negotiation discovered the peer speaks no extension.
-                assert client._replicas[0].caps == frozenset()
+                assert client._replicas[0].conn.caps == frozenset()
             finally:
                 client.close()
         untraced_server = ServeServer({"default": tiny_advisor})
@@ -143,7 +144,7 @@ class TestMemoProtocol:
                 assert store.get("ns", "key") == "value"
                 # No tracing: the caps probe never ran, so the wire
                 # behaviour is byte-identical to the pre-PR 10 client.
-                assert store._caps is None
+                assert store._conn.caps is None
             finally:
                 store.close()
             srv.shutdown()
@@ -177,7 +178,27 @@ class TestClusterProtocol:
         task_spans = _find(spans, "cluster.task")
         assert len(task_spans) == 3
         assert all(s["tags"]["ok"] for s in task_spans)
+        # The result round trip is attributed to the task span it reports.
+        assert all(
+            0.0 < s["hops"].get("cluster_wait", 0.0) <= s["duration_s"]
+            for s in task_spans
+        )
         _assert_linked(spans, "cluster.task", "cluster.frame")
+
+    def test_status_dial_goes_out_bare(self):
+        # dispatcher_status is a one-shot observer dial: no caps probe, no
+        # context envelope and no wait hop, even under a live span.
+        configure_tracing(enabled=True)
+        dispatcher = ensure_dispatcher("cluster://127.0.0.1:0")
+        try:
+            with span("status") as status:
+                dispatcher_status(dispatcher.url)
+        finally:
+            shutdown_dispatchers()
+        frames = _find(recent_spans(500), "cluster.frame")
+        assert frames  # tracing is on here, so the dispatcher still records one
+        assert all(f["parent_id"] != status.span_id for f in frames)
+        assert status.hops == {}
 
     def test_parallel_map_records_a_span(self):
         from repro.parallel.backend import parallel_map

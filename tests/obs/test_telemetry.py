@@ -12,11 +12,13 @@ import socket
 
 import pytest
 
-from repro.obs.trace import configure_tracing
+from repro.obs.trace import configure_tracing, span
 from repro.parallel.service import MemoServer, RemoteMemoStore
 from repro.parallel.wire import (
+    OP_TELEMETRY,
     TELEMETRY_SCHEMA_VERSION,
     WIRE_CAPS,
+    FrameConnection,
     ProtocolError,
     fetch_telemetry,
     negotiate_caps,
@@ -102,6 +104,20 @@ class TestCapsNegotiation:
             caps = self._caps_of(srv.url, "memo://")
             srv.shutdown()
         assert caps == frozenset()
+
+    def test_traced_connection_sends_extension_opcodes_bare(self, tmp_path):
+        # A traced connection under a live span wraps service requests, but
+        # never an extension opcode: the server would answer a wrapped
+        # TELEMETRY as an unknown opcode.  Nor does one trigger the probe.
+        configure_tracing(enabled=True)
+        with MemoServer(tmp_path / "served") as srv:
+            host, port = parse_hostport_url(srv.url, "memo://")
+            with FrameConnection(host, port, timeout=5.0, scheme="memo://") as conn:
+                with span("scrape"):
+                    response = conn.request(OP_TELEMETRY)
+                assert response[:1] == b"+"
+                assert conn.caps is None
+            srv.shutdown()
 
 
 class TestFleetTelemetry:

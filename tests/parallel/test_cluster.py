@@ -191,6 +191,40 @@ class TestInProcessScheduling:
             worker.stop()
             sock.close()
 
+    def test_unknown_worker_teardown_holds_the_io_lock(self):
+        """A forgotten worker re-registers, tearing down under ``_io_lock``.
+
+        The heartbeat thread shares the connection: a teardown without the
+        lock can close it under a heartbeat mid-request.
+        """
+        dispatcher = ensure_dispatcher("cluster://127.0.0.1:0")
+        # heartbeat_interval=60 keeps the heartbeat silent, so a lock held
+        # during a teardown can only be the tearing-down code's own.
+        worker = ClusterWorker(
+            dispatcher.url, name="forgotten", poll_interval=0.01, heartbeat_interval=60
+        )
+        lock_held = []
+        teardown = worker._teardown
+
+        def spy():
+            lock_held.append(worker._io_lock.locked())
+            teardown()
+
+        worker._teardown = spy
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            _wait_for_workers(dispatcher, 1)
+            with dispatcher._state:
+                dispatcher._workers.clear()  # the poll now reads "unknown worker"
+            _wait_for_workers(dispatcher, 1)
+            assert dispatcher.stats()["workers"] == ["forgotten#2"]
+        finally:
+            worker.stop()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert lock_held and all(lock_held), lock_held
+
     def test_stale_generation_results_are_discarded(self):
         dispatcher = ensure_dispatcher("cluster://127.0.0.1:0")
         worker, _ = _thread_worker(dispatcher.url, "w")

@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from repro.parallel.service import (
-    _LEN,
     MemoServer,
     RemoteMemoStore,
     parse_memo_url,
 )
 from repro.parallel.store import MemoStore, make_store
+from repro.parallel.wire import LEN, pack_str
 
 
 @pytest.fixture()
@@ -234,7 +234,7 @@ class TestFailureModes:
 
     def test_truncated_frame_reads_as_miss(self):
         # The length prefix promises 100 bytes; the connection dies after 2.
-        port, cleanup = self._rogue_server(lambda: _LEN.pack(100) + b"xy")
+        port, cleanup = self._rogue_server(lambda: LEN.pack(100) + b"xy")
         try:
             store = RemoteMemoStore(f"memo://127.0.0.1:{port}", retry_delay=0.05)
             assert store.get("unit", "k", default="recompute") == "recompute"
@@ -245,7 +245,7 @@ class TestFailureModes:
 
     def test_oversized_frame_is_rejected_not_allocated(self):
         # A garbled length prefix (2 GiB) must be refused outright.
-        port, cleanup = self._rogue_server(lambda: _LEN.pack(1 << 31))
+        port, cleanup = self._rogue_server(lambda: LEN.pack(1 << 31))
         try:
             store = RemoteMemoStore(f"memo://127.0.0.1:{port}", retry_delay=0.05)
             assert store.get("unit", "k") is None
@@ -308,7 +308,7 @@ class TestFailureModes:
         from repro.parallel import service as service_module
 
         client.put("unit", "small", 1)
-        monkeypatch.setattr(service_module, "_MAX_FRAME", 64)
+        monkeypatch.setattr(service_module, "MAX_FRAME", 64)
         client.put("unit", "huge", np.arange(1024.0))
         assert client.get("unit", "huge", default="recompute") == "recompute"
         monkeypatch.undo()
@@ -328,14 +328,14 @@ class TestFailureModes:
         # The server defends independently of well-behaved clients: speak
         # the raw protocol with a path-traversal namespace and expect an
         # ERR frame, with nothing written outside the store.
-        from repro.parallel.service import _OP_GET, _pack_str
+        from repro.parallel.service import _OP_GET
 
         sock = socket.create_connection((server.host, server.port), timeout=5.0)
         try:
-            payload = _OP_GET + _pack_str("../escape") + _pack_str("ab" * 20)
-            sock.sendall(_LEN.pack(len(payload)) + payload)
+            payload = _OP_GET + pack_str("../escape") + pack_str("ab" * 20)
+            sock.sendall(LEN.pack(len(payload)) + payload)
             header = sock.recv(4, socket.MSG_WAITALL)
-            (length,) = _LEN.unpack(header)
+            (length,) = LEN.unpack(header)
             body = sock.recv(length, socket.MSG_WAITALL)
             assert body[:1] == b"!"
         finally:
@@ -398,13 +398,13 @@ def test_protocol_unknown_opcode_is_an_error_frame(server):
     sock = socket.create_connection((server.host, server.port), timeout=5.0)
     try:
         payload = b"Z"  # no such opcode
-        sock.sendall(_LEN.pack(len(payload)) + payload)
+        sock.sendall(LEN.pack(len(payload)) + payload)
         header = sock.recv(4, socket.MSG_WAITALL)
-        (length,) = _LEN.unpack(header)
+        (length,) = LEN.unpack(header)
         body = sock.recv(length, socket.MSG_WAITALL)
         assert body[:1] == b"!"
         # Next request on the same connection still works.
-        sock.sendall(_LEN.pack(1) + b"?")
+        sock.sendall(LEN.pack(1) + b"?")
         header = sock.recv(4, socket.MSG_WAITALL)
         (length,) = struct.unpack("!I", header)
         body = sock.recv(length, socket.MSG_WAITALL)

@@ -1,8 +1,8 @@
 """Tests for the shared framing module (``repro.parallel.wire``).
 
-The framing contract has a single source of truth consumed by both the memo
-service and the serve service; these tests pin the helpers directly, plus
-the fact that both services actually import them (no drifted copies).
+The framing contract has a single source of truth consumed by every framed
+service and every wire client; these tests pin the helpers directly, plus
+the fact that services and clients actually use them (no drifted copies).
 
 The hostile-client suite pins the thread-reclamation contract: a client
 that connects and goes silent, sends a partial length prefix or a partial
@@ -17,6 +17,7 @@ import io
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -274,19 +275,50 @@ class TestShedFrame:
 
 
 class TestSingleSourceOfTruth:
+    """Every service runs on wire.FrameService and every client talks through
+    its own wire.FrameConnection: no drifted copies of the framing contract."""
+
     def test_memo_service_consumes_wire(self):
-        # The memo service's historical private names must be the wire
-        # objects themselves, not drifted copies of the framing contract.
-        assert service._LEN is wire.LEN
-        assert service._MAX_FRAME == wire.MAX_FRAME
-        assert service._pack_str is wire.pack_str
-        assert service._ProtocolError is wire.ProtocolError
+        assert issubclass(service.MemoServer, wire.FrameService)
+        store = service.RemoteMemoStore("memo://127.0.0.1:9")
+        assert type(store._conn) is wire.FrameConnection
+        assert service.MAX_FRAME == wire.MAX_FRAME
 
     def test_serve_service_consumes_wire(self):
         from repro.serve import client as serve_client
         from repro.serve import server as serve_server
 
         assert serve_server.FrameService is wire.FrameService
-        assert serve_client.read_frame is wire.read_frame
-        assert serve_client.write_frame is wire.write_frame
+        client = serve_client.ServeClient("serve://127.0.0.1:9,serve://127.0.0.1:10")
+        conns = [replica.conn for replica in client._replicas]
+        assert all(type(conn) is wire.FrameConnection for conn in conns)
+        assert conns[0] is not conns[1]
         assert serve_client.MAX_FRAME == wire.MAX_FRAME
+
+    def test_cluster_consumes_wire(self):
+        from repro.parallel import cluster
+
+        assert issubclass(cluster.ClusterDispatcher, wire.FrameService)
+        worker = cluster.ClusterWorker("cluster://127.0.0.1:9")
+        assert type(worker._conn) is wire.FrameConnection
+
+    def test_connection_primitives_live_only_in_wire(self):
+        # Dialing, buffering, the caps probe and the context envelope are
+        # spelled out once, in wire.py; every other module goes through
+        # FrameConnection (clients) or FrameService (servers).
+        wire_py = Path(wire.__file__).resolve()
+        src = wire_py.parents[1]
+        needles = (
+            "socket.create_connection",
+            ".makefile(",
+            "negotiate_caps(",
+            "wrap_context(",
+        )
+        offenders = sorted(
+            f"{path.relative_to(src)}: {needle}"
+            for path in src.rglob("*.py")
+            if path != wire_py
+            for needle in needles
+            if needle in path.read_text(encoding="utf-8")
+        )
+        assert offenders == []
