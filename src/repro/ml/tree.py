@@ -17,14 +17,21 @@ one of two builders selected with ``tree_method``:
   builder: every feature is quantised once per dataset into at most
   ``max_bins`` (≤255) bins (served by the content-addressed
   :func:`repro.parallel.cache.feature_bins` cache), each node accumulates a
-  per-bin ``(count, Σw, Σwy)`` histogram with one ``bincount`` over the
-  node's ``uint8`` codes, and the split scan walks bin boundaries instead of
-  sample positions.  Each split computes only the smaller child's histogram
-  directly — the sibling is ``parent − child`` (histogram subtraction) — so a
-  level costs at most half the node's samples.  When every feature has at
-  most ``max_bins`` distinct values the candidate thresholds coincide with
-  the exact builder's midpoints and fitted trees are bit-identical to
-  ``"exact"``; otherwise accuracy is tolerance-bounded (see the ROADMAP
+  per-bin ``(count, Σw, Σwy)`` histogram — ``(count, Σwy)`` with unit
+  weights, where ``Σw`` is the count — from its ``uint8`` codes, and the
+  split scan walks bin boundaries instead of sample positions.  Each split
+  computes only the smaller child's histogram directly — the sibling is
+  ``parent − child`` (histogram subtraction) — so a level costs at most
+  half the node's samples.  The tree grows level by level and each level is
+  array operations, not Python code per node: one row array partitioned by
+  a stable sort on child id, one ``bincount`` for every node's histogram,
+  one scan and a vectorised accept step over every node, and depth-first
+  node ids computed from per-depth subtree counts instead of a stack walk.
+  Node values stay one pairwise numpy ``.sum()`` per child, so they carry
+  the exact builder's floats.  When every feature has at most ``max_bins``
+  distinct values the candidate thresholds coincide with the exact
+  builder's midpoints and fitted trees are bit-identical to ``"exact"``;
+  otherwise accuracy is tolerance-bounded (see the ROADMAP
   ``tree_method="hist"`` contract).  One carve-out to bit-parity: two
   splits whose weighted-SSE gains are *exactly* equal (identical induced
   partitions) may tie-break differently — the engines accumulate the gain
@@ -238,25 +245,53 @@ class _HistTreeBuilder(_TreeBuilder):
     """Histogram-binned split search (the ``tree_method="hist"`` builder).
 
     Works on pre-binned ``uint8`` feature codes (:class:`FeatureBins`) and
-    grows the tree **level by level**: every node of a level accumulates a
-    ``(count, Σw, Σwy)`` per-bin histogram in one shared ``bincount`` over
-    slot-offset flattened codes, and one vectorised scan walks the ≤254 bin
-    boundaries of every (node, feature) pair at once — instead of the exact
-    builder's per-node pass over ``n_node`` sample positions.  After a split
-    only the smaller child's histogram is accumulated directly; the sibling's
-    is the parent's minus it (histogram subtraction — counts stay exact
-    integers in float64, the weighted sums pick up at most subtraction-level
-    rounding, which only matters on gain ties far below the accept margin).
+    grows the tree **level by level**, each level handled by array
+    operations rather than Python code per node:
+
+    * **One row partition per level.**  The level's sample rows live in one
+      array, grouped by node in level order and ascending inside each node.
+      A split routes each row of a split node to child ``2·s`` (left) or
+      ``2·s + 1`` (right), ``s`` the node's rank among the level's split
+      nodes, and a stable sort on that child id lays out the next level —
+      rows stay ascending inside every child, so every ``bincount`` and
+      every sum sees the float order a per-node partition would.
+    * **Histograms.**  One shared ``bincount`` over slot-offset flattened
+      codes accumulates every node's per-bin ``(count, Σw, Σwy)``; with unit
+      weights ``Σw`` *is* the count, so the histogram carries only
+      ``(count, Σwy)``.  Only each split's smaller child is accumulated
+      directly; the sibling's histogram is the parent's minus it (histogram
+      subtraction — counts stay exact integers in float64, the weighted
+      sums pick up at most subtraction-level rounding, which only matters
+      on gain ties far below the accept margin).
+    * **Vectorised scan and accept.**  One scan walks the ≤254 bin
+      boundaries of every (node, feature) pair at once, then one pass per
+      feature column over all nodes keeps the exact builder's sequential
+      rule: features in order, a challenger must beat the incumbent by
+      ``1e-12``, and :meth:`_TreeBuilder._finalize_split`'s gate (gain > 0
+      and ≥ ``min_impurity_decrease``) is an array mask.
 
     Thresholds are placed with the exact builder's arithmetic — the midpoint
     ``0.5 * (a + c)`` of the node's last occupied bin at or below the
     boundary (dataset upper value ``a``) and first occupied bin above it
-    (dataset lower value ``c``).  With one bin per distinct value these are
-    the node's own adjacent values, so fitted trees match ``"exact"`` bit for
-    bit; node and leaf statistics are always computed from the node's sample
-    rows with the exact builder's float-op order, never from the histogram,
-    and nodes are renumbered to the exact builder's depth-first order after
-    growth so the fitted arrays are directly comparable.
+    (dataset lower value ``c``).  The flanks are searched from the count
+    histogram rather than taken from the argmax boundary: subtraction leaves
+    tiny non-zero ``Σwy`` in empty bins, so argmax can land on an empty
+    bin's boundary.  With one bin per distinct value the flanks are the
+    node's own adjacent values, so fitted trees match ``"exact"`` bit for
+    bit.  Node and leaf values are always computed from the node's sample
+    rows with the exact builder's float-op order, never from the histogram:
+    one numpy ``.sum()`` per child over its contiguous slice of the level's
+    gathered ``y`` (``(y*w).sum() / w.sum()`` when weighted).  The sums stay
+    one numpy call per child because ``np.add.reduceat`` would sum each
+    segment sequentially, which differs from ``.sum()``'s pairwise
+    summation in the last bits.  With the ``max_features`` draws and the
+    degenerate-threshold recounts of rare risky candidates, they are the
+    only per-node Python steps the hist path keeps.
+
+    Node storage is one array per depth in level order; after growth the
+    tree is renumbered to the exact builder's depth-first ids without a
+    stack walk (:meth:`_renumber_depth_first`), so the fitted arrays are
+    directly comparable across ``tree_method`` values.
 
     The one documented divergence: with ``max_features`` subsampling, the
     per-node ``rng.choice`` draws happen in level order rather than the exact
@@ -268,93 +303,80 @@ class _HistTreeBuilder(_TreeBuilder):
         super().__init__(**kwargs)
         self.bins = bins
         self.n_hist_bins = int(bins.n_bins.max()) if bins.n_bins.size else 0
-        # Static per-(feature, boundary) validity — a boundary must lie
-        # inside the feature's own bin range.  Same for every node.
-        if self.n_hist_bins >= 2:
-            self._range_ok = np.arange(1, self.n_hist_bins) <= (bins.n_bins[:, None] - 1)
-        else:
-            self._range_ok = np.zeros((len(bins.n_bins), 0), dtype=bool)
 
     def _histograms(
         self,
         base: np.ndarray,
-        idx_list: list[np.ndarray],
+        rows: np.ndarray,
+        slot: np.ndarray,
+        k: int,
         w: np.ndarray,
         wy: np.ndarray,
         unit_w: bool,
     ) -> np.ndarray:
-        """``(k, 3, F, B)`` per-bin ``(count, Σw, Σwy)`` for ``k`` nodes at once.
+        """``(k, S, F, B)`` per-bin statistics of ``k`` nodes at once.
 
-        ``base`` is the dataset's pre-offset flat code matrix
-        (``codes + f*B``); each node's rows get an additional ``slot*F*B``
-        offset so one ``bincount`` accumulates every node of the level.
-        Accumulation visits samples in ascending-row order per node — the
-        same order a per-node bincount would use, so batching changes no
-        floats.  With unit weights ``Σw == count`` exactly, and the second
-        weighted bincount is skipped.
+        ``S`` is 3 — ``(count, Σw, Σwy)`` — or, with unit weights, 2 —
+        ``(count, Σwy)``, since ``Σw == count`` exactly; either way
+        ``[:, -2]`` is ``Σw`` and ``[:, -1]`` is ``Σwy``.  ``base`` is the
+        dataset's pre-offset flat code matrix (``codes + f*B``); row
+        ``rows[i]`` belongs to node ``slot[i]``, whose bins get an additional
+        ``slot*F*B`` offset so one ``bincount`` accumulates every node.
+        Accumulation visits each node's rows in the order given — ascending,
+        the order a per-node bincount would use.
         """
-        k = len(idx_list)
         n_features = base.shape[1]
-        length = k * n_features * self.n_hist_bins
+        stride = n_features * self.n_hist_bins
+        flat = (base[rows] + (slot * stride)[:, None]).ravel()
         shape = (k, n_features, self.n_hist_bins)
-        lengths = np.fromiter((len(ix) for ix in idx_list), count=k, dtype=np.int64)
-        rows = np.concatenate(idx_list)
-        slot = np.repeat(np.arange(k, dtype=np.int64) * (n_features * self.n_hist_bins), lengths)
-        flat = (base[rows] + slot[:, None]).ravel()
-        hists = np.empty((k, 3, n_features, self.n_hist_bins))
-        cnt = np.bincount(flat, minlength=length).reshape(shape)
-        hists[:, 0] = cnt
-        if unit_w:
-            hists[:, 1] = cnt
-        else:
-            hists[:, 1] = np.bincount(
-                flat, weights=np.repeat(w[rows], n_features), minlength=length
-            ).reshape(shape)
-        hists[:, 2] = np.bincount(
-            flat, weights=np.repeat(wy[rows], n_features), minlength=length
-        ).reshape(shape)
+        per_row = (wy,) if unit_w else (w, wy)
+        hists = np.empty((k, 1 + len(per_row), n_features, self.n_hist_bins))
+        hists[:, 0] = np.bincount(flat, minlength=k * stride).reshape(shape)
+        for stat, values in enumerate(per_row, 1):
+            weights = np.repeat(values[rows], n_features)
+            hists[:, stat] = np.bincount(flat, weights=weights, minlength=k * stride).reshape(shape)
         return hists
 
     def _scan_level(
-        self,
-        X: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        level: list[tuple[np.ndarray, int]],
-        hists: np.ndarray,
-        unit_w: bool,
-    ) -> list[Optional[_Split]]:
-        """Best split per node of a level — one vectorised scan over all of them."""
-        m = len(level)
+        self, X: np.ndarray, rows: np.ndarray, n_node: np.ndarray, hists: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Best split of every node of a level: ``(feature, threshold)``.
+
+        ``feature`` is -1 where the node stays a leaf.  ``rows`` holds the
+        level's sample rows, the ``n_node[i]`` rows of node ``i`` after
+        those of nodes ``0..i-1``.
+        """
+        m = len(n_node)
         n_features = X.shape[1]
         n_bins = self.n_hist_bins
         if n_bins < 2:
-            return [None] * m
+            return np.full(m, -1, dtype=np.int64), np.full(m, np.nan)
 
-        n_node = np.fromiter((len(idx) for idx, _ in level), count=m, dtype=np.int64)
         # Node totals come from the histograms — every feature's bins
         # partition the node, so feature 0's column sums are the node's
         # totals (with unit weights the count histogram is exact integers,
         # so ``w_tot`` matches the exact builder's ``w.sum()`` bit for bit).
-        w_tot = hists[:, 1, 0, :].sum(axis=1)
-        wy_tot = hists[:, 2, 0, :].sum(axis=1)
+        w_tot = hists[:, -2, 0, :].sum(axis=1)
+        wy_tot = hists[:, -1, 0, :].sum(axis=1)
 
-        cnt = hists[:, 0]
         # Cumulative per-bin statistics of the left partition for a split
         # placed after bin b (boundary b, bins 0..b go left), for every
         # (node, feature) pair of the level at once — one cumsum covers all
-        # three statistics.
-        cum = np.cumsum(hists, axis=3)[:, :, :, :-1]
+        # statistics.
+        cum_all = np.cumsum(hists, axis=3)
+        cum = cum_all[:, :, :, :-1]
         ccnt = cum[:, 0]
-        cw = cum[:, 1]
-        cwy = cum[:, 2]
+        cw = cum[:, -2]
+        cwy = cum[:, -1]
         rw = w_tot[:, None, None] - cw
         rwy = wy_tot[:, None, None] - cwy
 
-        # A boundary is valid when it lies inside the feature's bin range and
-        # both children keep at least min_samples_leaf samples.
-        valid = self._range_ok & (ccnt >= self.min_samples_leaf)
-        valid &= (n_node[:, None, None] - ccnt) >= self.min_samples_leaf
+        # A boundary is valid when both children keep at least
+        # min_samples_leaf (>= 1) samples.  That also rules out boundaries
+        # past a feature's own bin range, which send the whole node left.
+        min_leaf = self.min_samples_leaf
+        valid = ccnt >= min_leaf
+        valid &= ccnt <= (n_node - min_leaf)[:, None, None]
 
         # In-place arithmetic on the cumulative views — they are not read
         # again after the gain is formed.
@@ -366,7 +388,7 @@ class _HistTreeBuilder(_TreeBuilder):
             gain = cwy
             gain += rwy
             gain -= (wy_tot**2 / w_tot)[:, None, None]
-        if unit_w:
+        if hists.shape[1] == 2:
             # Unit weights cannot produce a zero denominator at a valid
             # boundary (both children hold >= 1 sample), so no NaN to mask.
             gain = np.where(valid, gain, -np.inf)
@@ -375,29 +397,28 @@ class _HistTreeBuilder(_TreeBuilder):
             # prefix makes cw zero and the gain NaN — masked, never argmax'd.
             gain = np.where(valid & np.isfinite(gain), gain, -np.inf)
         best_boundaries = np.argmax(gain, axis=2)
+        pair = np.arange(m * n_features).reshape(m, n_features)
         # -inf marks features with no valid boundary at all.
-        flat_index = np.arange(m * n_features) * (n_bins - 1) + best_boundaries.ravel()
-        best_gain_f = gain.ravel()[flat_index].reshape(m, n_features)
+        best_gain_f = gain.reshape(-1, n_bins - 1)[pair, best_boundaries]
 
         # Candidate thresholds for every (node, feature) pair at once: the
         # midpoint of the node's occupied bins flanking the chosen boundary
         # (empty bins inside a gap share the same gain; argmax lands on the
         # first, the flanks give the threshold — the node's own adjacent
-        # values when bins are one-per-distinct-value).  The flank indices
-        # are running extrema of the occupied-bin index, gathered at the
-        # boundary.  Entries without both flanks are garbage but carry a
-        # -inf gain, so they are never read.
-        bin_index = np.arange(n_bins)
-        occ_index = np.where(cnt > 0, bin_index, -1)
-        last_below = np.maximum.accumulate(occ_index, axis=2)
-        occ_index = np.where(cnt > 0, bin_index, n_bins)
-        first_at_or_above = np.minimum.accumulate(occ_index[:, :, ::-1], axis=2)[:, :, ::-1]
-        flat_bins = np.arange(m * n_features) * n_bins
-        a_idx = last_below.ravel()[flat_bins + best_boundaries.ravel()]
-        c_idx = first_at_or_above.ravel()[flat_bins + best_boundaries.ravel() + 1]
-        feats = np.tile(np.arange(n_features), m)
-        a = self.bins.upper[feats, np.maximum(a_idx, 0)].reshape(m, n_features)
-        c = self.bins.lower[feats, np.minimum(c_idx, n_bins - 1)].reshape(m, n_features)
+        # values when bins are one-per-distinct-value).  Along a pair's
+        # running count, the last occupied bin at or below boundary b is the
+        # first bin whose running count reaches b's, and the first occupied
+        # bin above b the first whose running count exceeds it — one
+        # searchsorted over all pairs, each pair's counts lifted past the
+        # previous pair's.  Entries without both flanks are garbage but
+        # carry a -inf gain, so they are never read.
+        running = (cum_all[:, 0] + pair[:, :, None] * (n_node.max() + 1.0)).ravel()
+        at_boundary = running.reshape(-1, n_bins)[pair, best_boundaries]
+        a_idx = running.searchsorted(at_boundary, "left") - pair * n_bins
+        c_idx = running.searchsorted(at_boundary, "right") - pair * n_bins
+        feature_index = np.arange(n_features)
+        a = self.bins.upper[feature_index, a_idx]
+        c = self.bins.lower[feature_index, np.minimum(c_idx, n_bins - 1)]
         thresholds = 0.5 * (a + c)
         # The midpoint always lands in [a, c]; the partition therefore
         # matches the histogram boundary exactly — whose child counts are
@@ -407,53 +428,35 @@ class _HistTreeBuilder(_TreeBuilder):
         # count check the exact builder runs on every candidate.
         risky = thresholds >= c
 
-        # The accept loop is plain scalars — all numpy work happened above.
-        # It keeps the exact builder's sequential semantics: features in
-        # order, a challenger must beat the incumbent by 1e-12, degenerate
-        # thresholds are skipped without unseating the incumbent.
-        gain_rows = best_gain_f.tolist()
-        threshold_rows = thresholds.tolist()
-        risky_rows = risky.tolist()
-        min_leaf = self.min_samples_leaf
-        subset = self.max_features is not None and self.max_features < n_features
-        splits: list[Optional[_Split]] = []
-        for i, (idx, _) in enumerate(level):
-            n_samples = len(idx)
-            if n_samples < self.min_samples_split or n_samples < 2 * min_leaf:
-                splits.append(None)
-                continue
-            if subset:
-                features = self.rng.choice(n_features, size=self.max_features, replace=False).tolist()
-            else:
-                features = range(n_features)
-            row_gain = gain_rows[i]
-            row_threshold = threshold_rows[i]
-            row_risky = risky_rows[i]
-            best_f = -1
-            best_gain = 0.0
-            for f in features:
-                g = row_gain[f]
-                if g > best_gain + 1e-12:
-                    if row_risky[f]:
-                        # Guard against degenerate thresholds produced by
-                        # value-adjacent bins whose midpoint rounds onto c.
-                        n_left = int((X[idx, f] <= row_threshold[f]).sum())
-                        if n_left < min_leaf or n_samples - n_left < min_leaf:
-                            continue
-                    best_gain = g
-                    best_f = f
-            if best_f < 0:
-                splits.append(None)
-                continue
-            threshold = row_threshold[best_f]
-            best = _Split(
-                feature=best_f,
-                threshold=threshold,
-                gain=best_gain,
-                left_mask=X[idx, best_f] <= threshold,
-            )
-            splits.append(self._finalize_split(best))
-        return splits
+        # The exact builder's sequential accept, one feature column at a
+        # time over every node: features in (drawn) order, a challenger must
+        # beat the incumbent by 1e-12, and a degenerate threshold is skipped
+        # without unseating the incumbent.  Every level node holds at least
+        # min_samples_split rows, and one under 2*min_samples_leaf has no
+        # valid boundary, so the size gate only decides which nodes draw a
+        # feature subset.
+        order = np.repeat(feature_index[None], m, axis=0)
+        if self.max_features is not None and self.max_features < n_features:
+            order = order[:, : self.max_features]
+            for i in np.flatnonzero(n_node >= 2 * min_leaf):
+                order[i] = self.rng.choice(n_features, size=self.max_features, replace=False)
+        node_index = np.arange(m)
+        best = np.zeros(m)
+        best_f = np.full(m, -1, dtype=np.int64)
+        for f in order.T:
+            g = best_gain_f[node_index, f]
+            win = g > best + 1e-12
+            for i in np.flatnonzero(win & risky[node_index, f]):
+                start = n_node[:i].sum()
+                idx = rows[start : start + n_node[i]]
+                n_left = int((X[idx, f[i]] <= thresholds[i, f[i]]).sum())
+                if n_left < min_leaf or n_node[i] - n_left < min_leaf:
+                    win[i] = False
+            best = np.where(win, g, best)
+            best_f = np.where(win, f, best_f)
+        # _finalize_split's gate (gain > 0 and >= min_impurity_decrease).
+        best_f[(best <= 0.0) | (best < self.min_impurity_decrease)] = -1
+        return best_f, thresholds[node_index, np.maximum(best_f, 0)]
 
     def build(  # type: ignore[override]
         self, X: np.ndarray, y: np.ndarray, w: np.ndarray, codes: Optional[np.ndarray] = None
@@ -472,170 +475,144 @@ class _HistTreeBuilder(_TreeBuilder):
         base += np.arange(n_features, dtype=np.int64) * self.n_hist_bins
 
         root_value = float((y * w).sum() / w.sum())
-        root = self._new_node(root_value, len(y))
-        root_idx = np.arange(n_samples)
         # Every sample's current deepest-node value; after growth each entry
         # is its leaf's value — bitwise what ``predict`` would return on the
         # training matrix, captured for free from the partition (ensemble
         # fits use it to skip a full traversal per stage).
         self.train_prediction = np.full(n_samples, root_value)
+        # Node storage, one array per depth in level order.  The j-th split
+        # node of depth d has its children at positions 2j, 2j+1 of d+1.
+        features = [np.full(1, _TREE_UNDEFINED, dtype=np.int64)]
+        thresholds = [np.full(1, np.nan)]
+        values = [np.array([root_value])]
+        counts = [np.array([n_samples], dtype=np.int64)]
 
-        def splittable(idx: np.ndarray, depth: int) -> bool:
-            if depth >= self.max_depth or len(idx) < self.min_samples_split:
-                return False
-            yi = y[idx]
-            return not bool(np.all(yi == yi[0]))
-
-        if not splittable(root_idx, 0):
-            return
-        level: list[tuple[np.ndarray, int]] = [(root_idx, root)]
-        hists = self._histograms(base, [root_idx], w, wy, unit_w)
-        depth = 0
-        feature_out = self.feature
-        threshold_out = self.threshold
-        children_left_out = self.children_left
-        children_right_out = self.children_right
-        min_split = self.min_samples_split
-        while level:
-            splits = self._scan_level(X, y, w, level, hists, unit_w)
-            # Create the whole level's children in bulk: ids are assigned
-            # arithmetically and the node arrays are extended once, instead
-            # of six list appends per node.
-            base_id = len(feature_out)
-            new_values: list[float] = []
-            new_counts: list[int] = []
-            kids: list[tuple[int, np.ndarray, np.ndarray, int, int]] = []
-            for i, ((idx, node), split) in enumerate(zip(level, splits)):
-                if split is None:
-                    continue
-                left_idx = idx[split.left_mask]
-                right_idx = idx[~split.left_mask]
-                n_left, n_right = len(left_idx), len(right_idx)
-                if unit_w:
-                    new_values.append(float(y[left_idx].sum()) / n_left)
-                    new_values.append(float(y[right_idx].sum()) / n_right)
-                else:
-                    wl, wr = w[left_idx], w[right_idx]
-                    new_values.append(float((y[left_idx] * wl).sum() / wl.sum()))
-                    new_values.append(float((y[right_idx] * wr).sum() / wr.sum()))
-                new_counts.append(n_left)
-                new_counts.append(n_right)
-                self.train_prediction[left_idx] = new_values[-2]
-                self.train_prediction[right_idx] = new_values[-1]
-                left = base_id + len(new_counts) - 2
-                feature_out[node] = split.feature
-                threshold_out[node] = split.threshold
-                children_left_out[node] = left
-                children_right_out[node] = left + 1
-                kids.append((i, left_idx, right_idx, left, left + 1))
-            n_new = len(new_counts)
-            feature_out.extend([_TREE_UNDEFINED] * n_new)
-            threshold_out.extend([float("nan")] * n_new)
-            children_left_out.extend([_TREE_LEAF] * n_new)
-            children_right_out.extend([_TREE_LEAF] * n_new)
-            self.value.extend(new_values)
-            self.n_node_samples.extend(new_counts)
-
-            if not kids or depth + 1 >= self.max_depth:
+        # The level: its nodes' positions at this depth, sizes, rows
+        # (grouped by node, ascending inside each) and histograms.  The
+        # root grows unless depth, size or a constant target stops it.
+        grows = self.max_depth > 0 and n_samples >= self.min_samples_split
+        grows = grows and not np.all(y == y[0])
+        active = np.zeros(int(grows), dtype=np.int64)
+        n_node = counts[0]
+        rows = np.arange(n_samples)
+        if grows:
+            hists = self._histograms(base, rows, np.zeros(n_samples, np.int64), 1, w, wy, unit_w)
+        add_reduce = np.add.reduce  # what ndarray.sum() runs, minus its wrapper
+        while len(active):
+            depth = len(values) - 1
+            m = len(active)
+            best_f, best_t = self._scan_level(X, rows, n_node, hists)
+            split = best_f >= 0
+            if not split.any():
                 break
-            # Batched splittability for the whole level's children: cheap
-            # depth/size gates inline, then one reduceat pair (segment
-            # min == max, exact for any float order) replaces a per-child
-            # purity pass.
-            candidates: list[tuple[int, bool, np.ndarray]] = []
-            for j, (i, left_idx, right_idx, left, right) in enumerate(kids):
-                if len(left_idx) >= min_split:
-                    candidates.append((j, True, left_idx))
-                if len(right_idx) >= min_split:
-                    candidates.append((j, False, right_idx))
-            if not candidates:
+            features[depth][active[split]] = best_f[split]
+            thresholds[depth][active[split]] = best_t[split]
+
+            # Route the split nodes' rows to their children and lay the
+            # children out contiguously in child order.
+            node_of_row = np.repeat(np.arange(m), n_node)
+            keep = split[node_of_row]
+            rows, node_of_row = rows[keep], node_of_row[keep]
+            goes_right = ~(X[rows, best_f[node_of_row]] <= best_t[node_of_row])
+            child = 2 * (np.cumsum(split) - 1)[node_of_row] + goes_right
+            order = np.argsort(child, kind="stable")
+            rows, child = rows[order], child[order]
+            n_children = 2 * int(split.sum())
+            n_child = np.bincount(child, minlength=n_children)
+            child_start = np.cumsum(n_child) - n_child
+            bounds = list(zip(child_start.tolist(), (child_start + n_child).tolist()))
+            ys = y[rows]
+            if unit_w:
+                value = np.array([add_reduce(ys[s:e]) for s, e in bounds]) / n_child
+            else:
+                ws = w[rows]
+                yws = ys * ws
+                value = np.array([add_reduce(yws[s:e]) / add_reduce(ws[s:e]) for s, e in bounds])
+            self.train_prediction[rows] = np.repeat(value, n_child)
+            features.append(np.full(n_children, _TREE_UNDEFINED, dtype=np.int64))
+            thresholds.append(np.full(n_children, np.nan))
+            values.append(value)
+            counts.append(n_child)
+            if depth + 1 >= self.max_depth:
                 break
-            seg_rows = np.concatenate([c[2] for c in candidates])
-            seg_lengths = np.fromiter(
-                (len(c[2]) for c in candidates), count=len(candidates), dtype=np.int64
+
+            # A child keeps growing when it is large enough and impure
+            # (segment min != max is exact in any float order).
+            need = (n_child >= self.min_samples_split) & (
+                np.minimum.reduceat(ys, child_start) != np.maximum.reduceat(ys, child_start)
             )
-            starts = np.concatenate(([0], np.cumsum(seg_lengths[:-1])))
-            y_rows = y[seg_rows]
-            impure = np.minimum.reduceat(y_rows, starts) != np.maximum.reduceat(y_rows, starts)
-            need = [[False, False] for _ in kids]
-            for (j, is_left, _), imp in zip(candidates, impure):
-                need[j][0 if is_left else 1] = bool(imp)
-
-            # One batched bincount accumulates the smaller sibling of every
-            # pair that still grows; the larger is parent − smaller, computed
-            # in one vectorised subtraction.  Two fancy assignments then
-            # assemble the next level's histogram block.
-            next_level: list[tuple[np.ndarray, int]] = []
-            small_list: list[np.ndarray] = []
-            parent_of_pair: list[int] = []
-            sources: list[tuple[int, bool]] = []  # (pair, is-the-small-sibling)
-            for j, (i, left_idx, right_idx, left, right) in enumerate(kids):
-                need_left, need_right = need[j]
-                if not (need_left or need_right):
-                    continue
-                pair = len(small_list)
-                left_is_small = len(left_idx) <= len(right_idx)
-                small_list.append(left_idx if left_is_small else right_idx)
-                parent_of_pair.append(i)
-                if need_left:
-                    next_level.append((left_idx, left))
-                    sources.append((pair, left_is_small))
-                if need_right:
-                    next_level.append((right_idx, right))
-                    sources.append((pair, not left_is_small))
-            if not small_list:
+            active = np.flatnonzero(need)
+            if not len(active):
                 break
-            small_hists = self._histograms(base, small_list, w, wy, unit_w)
-            big_hists = hists[np.asarray(parent_of_pair, dtype=np.int64)] - small_hists
-            level = next_level
-            k_next = len(sources)
-            pair_of = np.fromiter((j for j, _ in sources), count=k_next, dtype=np.int64)
-            is_small = np.fromiter((s for _, s in sources), count=k_next, dtype=bool)
-            hists = np.empty((k_next, 3, n_features, self.n_hist_bins))
-            hists[is_small] = small_hists[pair_of[is_small]]
-            hists[~is_small] = big_hists[pair_of[~is_small]]
-            depth += 1
-        self._renumber_depth_first()
+            # One batched bincount accumulates the smaller child of every
+            # split that still grows (the left one on a size tie); a growing
+            # larger child is its parent's histogram minus the smaller one.
+            pair_need = need[0::2] | need[1::2]
+            small = np.flatnonzero(pair_need) * 2 + (n_child[0::2] > n_child[1::2])[pair_need]
+            small_slot = np.full(n_children, -1, dtype=np.int64)
+            small_slot[small] = np.arange(len(small))
+            in_small = small_slot[child] >= 0
+            small_hists = self._histograms(
+                base, rows[in_small], small_slot[child[in_small]], len(small), w, wy, unit_w
+            )
+            is_small = small_slot[active] >= 0
+            big = active[~is_small]
+            next_hists = np.empty((len(active),) + small_hists.shape[1:])
+            next_hists[is_small] = small_hists[small_slot[active[is_small]]]
+            next_hists[~is_small] = (
+                hists[np.flatnonzero(split)[big // 2]] - small_hists[small_slot[big ^ 1]]
+            )
+            hists = next_hists
+            rows = rows[need[child]]
+            n_node = n_child[active]
+        self._renumber_depth_first(features, thresholds, values, counts)
 
-    def _renumber_depth_first(self) -> None:
-        """Permute node storage from level order to the exact builder's
-        depth-first creation order, so fitted arrays are directly comparable
-        across ``tree_method`` values."""
-        n_nodes = len(self.feature)
-        if n_nodes <= 1:
-            return
-        # The traversal itself runs on plain lists (scalar indexing is far
-        # cheaper than numpy element access); the permutation is vectorised.
-        left_list = self.children_left
-        right_list = self.children_right
-        order = [0] * n_nodes  # old index -> new index
-        counter = 1
-        stack = [0]
-        push = stack.append
-        while stack:
-            node = stack.pop()
-            l = left_list[node]
-            if l != _TREE_LEAF:
-                r = right_list[node]
-                order[l] = counter
-                order[r] = counter + 1
-                counter += 2
-                push(l)
-                push(r)
-        order_arr = np.asarray(order, dtype=np.int64)
-        inverse = np.empty(n_nodes, dtype=np.int64)
-        inverse[order_arr] = np.arange(n_nodes)
-        left = np.asarray(left_list, dtype=np.int64)
-        right = np.asarray(right_list, dtype=np.int64)
-        remap = lambda child: np.where(  # noqa: E731 — tiny local helper
-            child == _TREE_LEAF, _TREE_LEAF, order_arr[np.maximum(child, 0)]
-        )
-        self.feature = list(np.asarray(self.feature, dtype=np.int64)[inverse])
-        self.threshold = list(np.asarray(self.threshold, dtype=np.float64)[inverse])
-        self.children_left = list(remap(left)[inverse])
-        self.children_right = list(remap(right)[inverse])
-        self.value = list(np.asarray(self.value, dtype=np.float64)[inverse])
-        self.n_node_samples = list(np.asarray(self.n_node_samples, dtype=np.int64)[inverse])
+    def _renumber_depth_first(
+        self,
+        features: list[np.ndarray],
+        thresholds: list[np.ndarray],
+        values: list[np.ndarray],
+        counts: list[np.ndarray],
+    ) -> None:
+        """Store the per-depth level-order nodes under the exact builder's
+        depth-first ids, so fitted arrays are directly comparable across
+        ``tree_method`` values.
+
+        The exact builder numbers the two children of each internal node
+        when it pops that node off its stack, and it pops internal nodes in
+        right-first pre-order: the children of the internal node of rank
+        ``r`` in that order get ids ``1 + 2r`` and ``2 + 2r``.  A node's
+        right child ranks right after it, and its left child after the whole
+        right subtree, so ranks follow top-down from each subtree's count of
+        internal nodes, itself counted bottom-up one depth at a time.
+        """
+        internal = [f != _TREE_UNDEFINED for f in features]
+        n_internal: list[np.ndarray] = [np.zeros(0, dtype=np.int64)] * len(features)
+        below = np.zeros(0, dtype=np.int64)
+        for depth in reversed(range(len(features))):
+            here = internal[depth].astype(np.int64)
+            here[internal[depth]] += below[0::2] + below[1::2]
+            n_internal[depth] = below = here
+        n_nodes = sum(len(v) for v in values)
+        self.feature = np.empty(n_nodes, dtype=np.int64)
+        self.threshold = np.empty(n_nodes)
+        self.children_left = np.full(n_nodes, _TREE_LEAF, dtype=np.int64)
+        self.children_right = np.full(n_nodes, _TREE_LEAF, dtype=np.int64)
+        self.value = np.empty(n_nodes)
+        self.n_node_samples = np.empty(n_nodes, dtype=np.int64)
+        ids = rank = np.zeros(1, dtype=np.int64)
+        for depth, split in enumerate(internal):
+            self.feature[ids] = features[depth]
+            self.threshold[ids] = thresholds[depth]
+            self.value[ids] = values[depth]
+            self.n_node_samples[ids] = counts[depth]
+            r = rank[split]
+            self.children_left[ids[split]] = 1 + 2 * r
+            self.children_right[ids[split]] = 2 + 2 * r
+            if depth + 1 < len(internal):
+                ids = (2 * r[:, None] + np.array([1, 2])).ravel()
+                right_subtree = n_internal[depth + 1][1::2]
+                rank = np.stack([r + 1 + right_subtree, r + 1], axis=1).ravel()
 
 
 class DecisionTreeRegressor(BaseEstimator, RegressorMixin):

@@ -15,10 +15,11 @@ Storage contract:
   tuples, lists and dicts; :func:`key_digest` encodes it deterministically
   (type-tagged, so ``1``/``1.0``/``True`` never collide) and hashes it.
   Equal keys map to the same file in any process on any run.
-* **Atomic writes** — payloads are written to a unique temporary file and
-  published with ``os.replace``; a reader never observes a partial payload,
-  and concurrent writers of the same key are last-writer-wins (both wrote
-  the same deterministic value anyway).
+* **Atomic writes** — payloads and stats snapshots go through
+  :func:`atomic_write`: a temporary file named per write, published with
+  ``os.replace``; a reader never observes a partial payload, and concurrent
+  writers of the same key are last-writer-wins (both wrote the same
+  deterministic value anyway).
 * **Versioned payloads** — every file starts with a magic string carrying a
   format version.  A version bump invalidates old files: they read as
   misses and are recomputed, never misinterpreted.
@@ -63,6 +64,7 @@ import numpy as np
 
 __all__ = [
     "MemoStore",
+    "atomic_write",
     "key_digest",
     "seal",
     "unseal",
@@ -109,6 +111,28 @@ def _process_token() -> str:
         _PROC_PID = pid
         _PROC_UID = uuid.uuid4().hex[:8]
     return f"{pid}-{_PROC_UID}"
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Publish ``data`` at ``path``: write a temp file beside it, then rename.
+
+    The temp file is named per write (pid plus a random token), so two
+    writers of one target — threads of one process included — never share
+    a temp file, and a reader only ever sees a complete payload.  On
+    ``OSError`` the temp file is removed and the error re-raised: each
+    caller keeps its own failure policy.  The parent directory must exist.
+    """
+    tmp = path.parent / f".{path.name}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def record_fit(n: int = 1) -> None:
@@ -235,7 +259,6 @@ class MemoStore:
         self._objects.mkdir(parents=True, exist_ok=True)
         self._stats_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._tmp_seq = 0
         self._last_flush = 0.0
         self.hits = 0
         self.misses = 0
@@ -294,22 +317,15 @@ class MemoStore:
     def put(self, namespace: str, key: Any, value: Any) -> None:
         """Persist a memoised value atomically (write temp file, then rename)."""
         path = self.path_for(namespace, key)
-        with self._lock:
-            self._tmp_seq += 1
-            seq = self._tmp_seq
-        tmp = path.parent / f".{path.name}.{os.getpid()}.{seq}.tmp"
         blob = seal(value)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
+            atomic_write(path, blob)
         except OSError:
             # A full or read-only disk degrades the store to a no-op cache;
             # the value was computed and the caller still has it.
             with self._lock:
                 self.errors += 1
-            self._discard(tmp)
             return
         with self._lock:
             self.puts += 1
@@ -361,29 +377,18 @@ class MemoStore:
         if not blob.startswith(_MAGIC_PREFIX):
             return False
         path = self.digest_path(namespace, digest)
-        with self._lock:
-            self._tmp_seq += 1
-            seq = self._tmp_seq
-        tmp = path.parent / f".{path.name}.{os.getpid()}.{seq}.tmp"
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(tmp, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
+            atomic_write(path, blob)
         except OSError:
-            self._discard(tmp)
             return False
         return True
 
     def write_snapshot(self, token: str, data: bytes) -> bool:
         """Atomically publish a remote process's stats snapshot JSON."""
-        path = self._stats_dir / f"{token}.json"
-        tmp = path.parent / f".{path.name}.tmp"
         try:
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            atomic_write(self._stats_dir / f"{token}.json", data)
         except OSError:
-            self._discard(tmp)
             return False
         return True
 
@@ -435,13 +440,10 @@ class MemoStore:
                 "errors": self.errors,
             }
         snapshot = build_stats_snapshot(counters)
-        path = self._stats_path()
-        tmp = path.parent / f".{path.name}.tmp"
         try:
-            tmp.write_text(json.dumps(snapshot))
-            os.replace(tmp, path)
+            atomic_write(self._stats_path(), json.dumps(snapshot).encode())
         except OSError:
-            self._discard(tmp)
+            pass
         with self._lock:
             self._last_flush = time.monotonic()
 

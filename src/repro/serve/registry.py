@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.store import seal, unseal
+from repro.parallel.store import atomic_write, seal, unseal
 
 __all__ = ["ModelRegistry", "warm_model", "REGISTRY_FORMAT_VERSION"]
 
@@ -156,16 +156,7 @@ class ModelRegistry:
     @staticmethod
     def _atomic_write(path: Path, blob: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, blob)
 
     # ---------------------------------------------------------------- publish
 

@@ -164,6 +164,38 @@ class TestMinImpurityDecrease:
         assert tree.n_nodes_ == 1
 
 
+class TestDegenerateThresholdGuard:
+    """Two adjacent floats whose midpoint rounds onto the upper one give a
+    threshold that sends every sample left; the split must be skipped."""
+
+    @staticmethod
+    def data():
+        below_one = np.nextafter(1.0, 0.0)
+        assert 0.5 * (below_one + 1.0) == 1.0  # the midpoint rounds onto 1.0
+        y = np.repeat([0.0, 1.0], 10)
+        # Feature 0 separates y perfectly, but only through the degenerate
+        # threshold; feature 1 separates it with one sample on each side
+        # misplaced.
+        f0 = np.where(y == 0.0, below_one, 1.0)
+        f1 = np.r_[0:9, 10, 9, 11:20].astype(float)
+        return np.column_stack([f0, f1]), y
+
+    @pytest.mark.parametrize("method", ["exact", "hist"])
+    def test_degenerate_feature_is_skipped_for_the_next_best(self, method):
+        X, y = self.data()
+        tree = DecisionTreeRegressor(max_depth=1, tree_method=method).fit(X, y)
+        assert tree.n_nodes_ == 3
+        assert tree.feature_[0] == 1
+        assert tree.n_node_samples_[1] > 0 and tree.n_node_samples_[2] > 0
+
+    @pytest.mark.parametrize("method", ["exact", "hist"])
+    def test_degenerate_feature_alone_leaves_the_root_a_leaf(self, method):
+        X, y = self.data()
+        tree = DecisionTreeRegressor(tree_method=method).fit(X[:, :1], y)
+        assert tree.n_nodes_ == 1
+        assert tree.value_[0] == 0.5
+
+
 class TestIntrospection:
     def test_apply_returns_leaves(self, nonlinear_data):
         X, y = nonlinear_data

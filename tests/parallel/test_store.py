@@ -26,6 +26,7 @@ from repro.parallel.store import (
     make_store,
 )
 from repro.parallel import store as store_module
+from repro.serve.registry import ModelRegistry
 
 
 @pytest.fixture()
@@ -184,6 +185,54 @@ class TestAtomicityAndCorruption:
         monkeypatch.undo()
         assert store.get("unit", "k") is None
         assert not list(store._objects.rglob("*.tmp"))  # temp file cleaned up
+
+
+    @pytest.mark.parametrize("writer", ["write_snapshot", "registry"])
+    def test_same_target_writers_in_one_process_use_their_own_temp_files(
+        self, tmp_path, monkeypatch, writer
+    ):
+        # A barrier at os.replace holds both threads until each has written
+        # its temp file.  A temp name shared by the two writes would let one
+        # thread rename the other's bytes into place and fail its own rename.
+        store = MemoStore(tmp_path / "memo")
+        if writer == "write_snapshot":
+            target = store._stats_dir / "client.json"
+        else:
+            target = tmp_path / "registry" / "aliases" / "deployed.json"
+
+        def write(data):
+            if writer == "write_snapshot":
+                return store.write_snapshot("client", data)
+            return ModelRegistry._atomic_write(target, data)
+
+        barrier = threading.Barrier(2, timeout=5)
+        real_replace = os.replace
+
+        def held_replace(src, dst):
+            barrier.wait()
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", held_replace)
+        payloads = [b"A" * 4096, b"B" * 4096]
+        results, errors = [None, None], []
+
+        def run(i):
+            try:
+                results[i] = write(payloads[i])
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        if writer == "write_snapshot":
+            assert results == [True, True]
+        assert target.read_bytes() in payloads
+        assert not list(target.parent.glob("*.tmp"))
 
 
 class TestStats:
