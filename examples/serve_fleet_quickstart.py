@@ -8,8 +8,8 @@ dependencies:
 1. several replicas share one model **registry**; each request names a model
    *alias* and the server lazily warm-loads it, keeping at most
    ``max_models`` resident (LRU eviction, digest-verified reloads);
-2. replicas on one host share a single packed-arena copy per model through
-   ``multiprocessing.shared_memory`` — N processes, one set of tree arrays;
+2. each replica warm-loads the same digest-verified artifact into its own
+   process, so every replica serves a byte-identical copy of each model;
 3. a multi-URL :class:`ServeClient` consistent-hashes requests across the
    replicas and fails over when one dies: a dead replica degrades capacity,
    not availability, and every completed answer stays byte-identical to the
@@ -24,8 +24,8 @@ Run with::
 
 The equivalent operational setup on three shells (one per "machine")::
 
-    # shells 1+2 — two replicas sharing one registry (and, on the same
-    # host, one shared arena: the second replica attaches, not copies)
+    # shells 1+2 — two replicas sharing one registry (the first fits and
+    # publishes; the second warm-loads that artifact instead of refitting)
     repro-chem serve --registry /srv/models --port 7601 --max-inflight 64
     repro-chem serve --registry /srv/models --port 7602 --max-inflight 64
 

@@ -27,8 +27,8 @@ Sub-commands
     Keep fitted runtime models hot behind a socket and answer
     prediction/advisor queries online (micro-batched packed prediction;
     warm-loads from / publishes to a model registry; registry aliases
-    route lazily with an LRU cap, overload sheds past ``--max-inflight``,
-    and packed arenas are shared per host through POSIX shared memory).
+    route lazily with an LRU cap, and overload sheds past
+    ``--max-inflight``).
 ``query``
     Fire predict/stq/bq/health/stats/fleet-stats queries at a running
     ``serve`` process — or a fleet of them (repeat ``--url``; requests
@@ -407,16 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--max-inflight. Default: unbounded."
         ),
     )
-    p_serve.add_argument(
-        "--private-arenas",
-        action="store_true",
-        help=(
-            "Keep each model's packed arena process-private instead of "
-            "sharing one copy per host through POSIX shared memory "
-            "(sharing requires a registry and falls back to private "
-            "automatically on any failure)."
-        ),
-    )
+    # Inert: every served model is process-private.  Still parsed because
+    # perfbench/bench_serve.py passes it.
+    p_serve.add_argument("--private-arenas", action="store_true", help=argparse.SUPPRESS)
     p_serve.add_argument(
         "--slow-ms",
         type=float,
@@ -785,8 +778,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     advisor = None
     digest = None
     if registry is not None:
-        # warm=False: the server warms after the (optional) shared-arena
-        # swap, so traversal tables build on the host-shared arrays.
+        # warm=False: ServeServer warms every model it hosts, so warming
+        # here too would repeat the work.
         loaded = registry.load_with_digest(name, warm=False)
         if loaded is not None:
             digest, advisor = loaded
@@ -830,7 +823,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_models=args.max_models,
         max_inflight=args.max_inflight,
         max_pending=args.max_pending,
-        shared_arenas=False if args.private_arenas else None,
         model_digests=(
             {name: digest, "default": digest} if digest is not None else None
         ),
@@ -838,14 +830,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         **_wire_kwargs(args),
     )
     mode = "single-flight" if args.single_flight else f"micro-batch(max {args.max_batch} rows)"
-    hosted = server.models.get(name)
-    if hosted is not None and hosted.arena is not None:
-        print(
-            f"serve: arena={hosted.arena.name} "
-            f"({'created' if hosted.arena.created else 'attached'}, "
-            f"{hosted.arena.nbytes} bytes shared)",
-            flush=True,
-        )
     # The exact "listening on serve://host:port" line is the startup
     # handshake scripts wait for (and parse the ephemeral port from, with
     # --port 0) — same convention as memo-serve.

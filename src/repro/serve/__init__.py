@@ -9,9 +9,9 @@ its packed arenas hot, and queried by many concurrent
 :class:`MicroBatcher` coalesces into single packed traversals.
 
 The fleet layer (PR 8) scales that out: one server hosts *many* models
-(request aliases route through the registry, LRU-capped residents, one
-shared packed-arena copy per host via :mod:`repro.serve.arena`), bounds
-overload with request-level admission control (shed requests fail with the
+(request aliases route through the registry, LRU-capped residents, each
+replica holding its own copy of every model it serves), bounds overload
+with request-level admission control (shed requests fail with the
 retryable ``overloaded`` flavour, :class:`ServeOverloadedError`), and the
 client consistent-hashes requests across several replicas with
 deterministic failover — a dead replica degrades capacity, not
@@ -31,7 +31,6 @@ The two load-bearing contracts (see ROADMAP "serve fleet contract"):
 Operational front ends: ``repro-chem serve`` and ``repro-chem query``.
 """
 
-from repro.serve.arena import SharedArena, attach_shared_arena, share_packed
 from repro.serve.batcher import MicroBatcher
 from repro.serve.client import (
     ServeClient,
@@ -51,12 +50,9 @@ __all__ = [
     "ServeOverloadedError",
     "ServeServer",
     "ServeUnavailableError",
-    "SharedArena",
     "SERVE_PROTOCOL_VERSION",
     "SERVE_URL_SCHEME",
     "REGISTRY_FORMAT_VERSION",
-    "attach_shared_arena",
     "parse_serve_url",
-    "share_packed",
     "warm_model",
 ]

@@ -218,8 +218,8 @@ class ModelRegistry:
     ) -> Optional[tuple[str, Any]]:
         """:meth:`load`, but returning ``(digest, model)``.
 
-        The serving layer needs the digest *the load actually verified
-        against* — it keys the host-shared arena segment — and resolving
+        The serving layer reports the digest *the load actually verified
+        against* (the per-model ``digest`` in server stats), and resolving
         the alias again after the load would race a concurrent republish.
         """
         t0 = time.perf_counter()

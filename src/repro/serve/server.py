@@ -30,11 +30,10 @@ Fleet semantics (PR 8):
   ``model`` alias that is not already resident is resolved and warm-loaded
   on first use; residents are LRU-capped at ``max_models`` (evicted models
   reload on their next request, digest re-verified by the registry).
-* **Shared packed arenas** — registry-loaded models swap their packed
-  arena for one host-wide ``multiprocessing.shared_memory`` segment keyed
-  by the artifact digest (:mod:`repro.serve.arena`), so N serve workers on
-  a host map a single model copy.  Sharing is verified bytewise and falls
-  back to private arrays on any failure — parity never depends on it.
+* **One private copy per replica** — each replica holds its own copy of
+  every model it serves.  Sharing one copy per host through shared memory
+  would cut a replica's PSS by under 10% and its RSS and peak RSS not at
+  all, so replicas do not share.
 * **Admission control** — ``max_inflight`` bounds concurrently processing
   predict/ask requests.  Past the bound, requests are *shed* with a
   distinct, retryable ``overloaded: ...`` error instead of queueing behind
@@ -69,7 +68,6 @@ from repro.parallel.wire import (
     FrameService,
     ProtocolError,
 )
-from repro.serve.arena import SharedArena, attach_shared_arena
 from repro.serve.batcher import MicroBatcher
 from repro.serve.registry import ModelRegistry, warm_model
 
@@ -117,14 +115,12 @@ class _HostedModel:
         batcher: bool,
         max_batch_rows: int,
         digest: Optional[str] = None,
-        arena: Optional[SharedArena] = None,
         source: str = "static",
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.name = name
         self.model = model
         self.digest = digest
-        self.arena = arena
         self.source = source
         # A ResourceAdvisor hosts its estimator; a bare estimator hosts
         # itself.  ``predict`` always resolves to the *local* single-call
@@ -160,8 +156,6 @@ class _HostedModel:
     def close(self) -> None:
         if self.batcher is not None:
             self.batcher.close()
-        if self.arena is not None:
-            self.arena.close()
 
 
 class ServeServer(FrameService):
@@ -201,15 +195,11 @@ class ServeServer(FrameService):
         ``max_inflight``: in-flight counts requests being processed,
         pending counts work queued behind the batcher.  ``None`` (default)
         means unbounded; only meaningful with ``micro_batch``.
-    shared_arenas:
-        Share packed arenas host-wide through ``multiprocessing.shared_memory``
-        keyed by artifact digest.  ``None`` (default) enables sharing
-        exactly when a registry is present; sharing failures silently fall
-        back to private arrays.
     model_digests:
         Registry digests for *statically* passed models (``name ->
-        digest``), letting their arenas join the host-shared segments too.
-        The CLI passes the digest it warm-loaded or published.
+        digest``), reported per model in ``stats`` as registry-routed
+        models report theirs.  The CLI passes the digest it warm-loaded or
+        published.
     timeout / max_connections:
         Wire-scaffolding robustness knobs (see
         :class:`~repro.parallel.wire.FrameService`): silent or half-framed
@@ -234,7 +224,6 @@ class ServeServer(FrameService):
         max_models: Optional[int] = None,
         max_inflight: Optional[int] = None,
         max_pending: Optional[int] = None,
-        shared_arenas: Optional[bool] = None,
         model_digests: Optional[Mapping[str, str]] = None,
         slow_ms: Optional[float] = None,
         timeout: Optional[float] = DEFAULT_TIMEOUT,
@@ -260,9 +249,6 @@ class ServeServer(FrameService):
         self.max_pending = (
             int(max_pending) if max_pending and max_pending > 0 else None
         )
-        self.shared_arenas = (
-            bool(registry) if shared_arenas is None else bool(shared_arenas)
-        )
         self._max_batch_rows = int(max_batch_rows)
         self.models: dict[str, _HostedModel] = {}
         # Registry-routed residents, least recently used first.  Guarded by
@@ -273,36 +259,6 @@ class ServeServer(FrameService):
         self._load_lock = threading.Lock()
         self._c_models_loaded = self.metrics.counter("serve.models_loaded")
         self._c_models_evicted = self.metrics.counter("serve.models_evicted")
-        # Several names may alias one model object (the CLI serves the
-        # registry alias and "default" as the same model); they share one
-        # hosted entry so coalescing is not split across names.
-        digests = dict(model_digests or {})
-        hosted_by_id: dict[int, _HostedModel] = {}
-        for name, model in models.items():
-            hosted = hosted_by_id.get(id(model))
-            if hosted is None:
-                digest = digests.get(name)
-                arena = (
-                    attach_shared_arena(model, digest)
-                    if self.shared_arenas and digest
-                    else None
-                )
-                if warm:
-                    # After the arena swap, so traversal tables build on
-                    # the shared views.
-                    warm_model(model)
-                hosted = _HostedModel(
-                    name,
-                    model,
-                    batcher=self.micro_batch,
-                    max_batch_rows=max_batch_rows,
-                    digest=digest,
-                    arena=arena,
-                    source="static",
-                    metrics=self.metrics,
-                )
-                hosted_by_id[id(model)] = hosted
-            self.models[name] = hosted
         # Request counters on the typed registry; legacy stats() keys are
         # views over these instruments.
         self._op_counters = {
@@ -325,12 +281,34 @@ class ServeServer(FrameService):
         self._c_slow_suppressed = self.metrics.counter("serve.slow_suppressed")
         self._started_at = time.monotonic()
         try:
+            # Several names may alias one model object (the CLI serves the
+            # registry alias and "default" as the same model); they share
+            # one hosted entry so coalescing is not split across names.
+            digests = dict(model_digests or {})
+            hosted_by_id: dict[int, _HostedModel] = {}
+            for name, model in models.items():
+                hosted = hosted_by_id.get(id(model))
+                if hosted is None:
+                    if warm:
+                        warm_model(model)
+                    hosted = _HostedModel(
+                        name,
+                        model,
+                        batcher=self.micro_batch,
+                        max_batch_rows=max_batch_rows,
+                        digest=digests.get(name),
+                        source="static",
+                        metrics=self.metrics,
+                    )
+                    hosted_by_id[id(model)] = hosted
+                self.models[name] = hosted
             super().__init__(
                 host=host, port=port, timeout=timeout, max_connections=max_connections
             )
         except Exception:
-            # A failed bind (port in use, bad interface) must not leak the
-            # already-started batcher worker threads.
+            # An unservable model or a failed bind (port in use, bad
+            # interface) must not leak the batcher worker threads already
+            # started.
             for hosted in self._all_hosted():
                 hosted.close()
             raise
@@ -521,9 +499,6 @@ class ServeServer(FrameService):
                         f"registry aliases: {sorted(self.registry.aliases())})"
                     )
                 digest, model = loaded
-                arena = (
-                    attach_shared_arena(model, digest) if self.shared_arenas else None
-                )
                 warm_model(model)
             # Attribute the load to the *request's* hop breakdown (the
             # frame span is current again outside the child span).
@@ -535,13 +510,10 @@ class ServeServer(FrameService):
                     batcher=self.micro_batch,
                     max_batch_rows=self._max_batch_rows,
                     digest=digest,
-                    arena=arena,
                     source="registry",
                     metrics=self.metrics,
                 )
             except TypeError as exc:
-                if arena is not None:
-                    arena.close()
                 raise _RequestError(f"model {name!r} is not servable: {exc}")
             evicted: list[_HostedModel] = []
             with self._models_lock:
@@ -660,22 +632,14 @@ class ServeServer(FrameService):
         loaded = self._c_models_loaded.value
         evicted = self._c_models_evicted.value
         models = {}
-        arenas = {"shared": self.shared_arenas, "segments": 0, "nbytes": 0}
-        counted: set[int] = set()
         for name, hosted in list(self.models.items()) + resident:
             models[name] = {
                 "n_features": hosted.n_features,
                 "advisor": hosted.advisor is not None,
                 "source": hosted.source,
                 "digest": hosted.digest,
-                "arena": hosted.arena.stats() if hosted.arena else None,
                 "batcher": hosted.batcher.stats() if hosted.batcher else None,
             }
-            # Aliases share hosted entries; count each segment once.
-            if hosted.arena is not None and id(hosted) not in counted:
-                counted.add(id(hosted))
-                arenas["segments"] += 1
-                arenas["nbytes"] += hosted.arena.nbytes
         with self._counter_lock:
             inflight = self._inflight
         shed = self._c_requests_shed.value
@@ -703,7 +667,6 @@ class ServeServer(FrameService):
                 "models_loaded": loaded,
                 "models_evicted": evicted,
             },
-            "arenas": arenas,
             "models": models,
             "registry": self.registry.stats() if self.registry else None,
         }

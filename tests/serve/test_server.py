@@ -15,6 +15,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.ml.gradient_boosting import GradientBoostingRegressor
 from repro.parallel.wire import LEN
 from repro.serve import (
     ModelRegistry,
@@ -325,6 +326,17 @@ class TestFailureContract:
             ]
         finally:
             placeholder.close()
+
+    def test_unservable_model_does_not_leak_batcher_threads(self, tiny_advisor):
+        def batchers():
+            return {t for t in threading.enumerate() if t.name == "micro-batcher"}
+
+        before = batchers()
+        unfitted = GradientBoostingRegressor()
+        with pytest.raises(TypeError, match="not fitted"):
+            ServeServer({"a": tiny_advisor, "b": unfitted})
+        # "a" was hosted (its batcher started) before "b" failed.
+        assert batchers() == before
 
     def test_shutdown_then_queries_fail_cleanly(self, tiny_advisor, probe_X):
         srv = ServeServer(tiny_advisor)

@@ -35,6 +35,9 @@ class TestParser:
         args = build_parser().parse_args(["serve", "--port", "0", "--single-flight"])
         assert args.command == "serve"
         assert args.port == 0 and args.single_flight and args.preset == "fast"
+        # Inert, but perfbench's serve workload still passes it.
+        args = build_parser().parse_args(["serve", "--private-arenas"])
+        assert args.command == "serve"
         args = build_parser().parse_args(
             ["query", "predict", "--url", "serve://h:7601", "--features", "44,260,5,40"]
         )
