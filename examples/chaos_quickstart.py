@@ -9,11 +9,11 @@ shares one resilience engine (``repro.parallel.resilience``, PR 9):
    per-operation budget, overall deadline).  Seed the jitter
    (``retry_seed=`` or ``REPRO_RETRY_SEED``) and the whole retry sequence
    replays identically;
-2. **health-aware routing** — a :class:`HealthTracker` folds failures into
-   a per-endpoint EWMA driving a closed/open/half-open circuit.  A dead
-   replica leaves the consistent-hash ring while its circuit is open and
-   re-enters on a successful half-open probe.  Overloads *never* trip the
-   circuit: a shedding replica is a healthy replica (shed-vs-dead);
+2. **health-aware routing** — a :class:`HealthTracker` keeps a per-endpoint
+   closed/open/half-open circuit that a failure opens.  A dead replica
+   leaves routing while its circuit is open and re-enters on a successful
+   half-open probe.  Overloads *never* trip the circuit: a shedding
+   replica is a healthy replica (shed-vs-dead);
 3. **pending-depth shedding** — ``repro-chem serve --max-pending N`` bounds
    the micro-batcher queue, answering the retryable ``overloaded`` flavour
    before a request ever queues.
@@ -122,7 +122,7 @@ def main() -> None:
                 f"Dead replica circuit: state={dead['state']!r}, "
                 f"trips={dead['trips']}, "
                 f"open for another {dead['open_remaining_s']}s — "
-                f"it left the ring; the healthy replica serves everything."
+                f"it left routing; the healthy replica serves everything."
             )
             client.close()
 

@@ -10,8 +10,8 @@ dependencies:
    ``max_models`` resident (LRU eviction, digest-verified reloads);
 2. each replica warm-loads the same digest-verified artifact into its own
    process, so every replica serves a byte-identical copy of each model;
-3. a multi-URL :class:`ServeClient` consistent-hashes requests across the
-   replicas and fails over when one dies: a dead replica degrades capacity,
+3. a multi-URL :class:`ServeClient` hashes requests across the replicas
+   and fails over when one dies: a dead replica degrades capacity,
    not availability, and every completed answer stays byte-identical to the
    local estimator no matter which replica produced it;
 4. a bounded in-flight budget (``max_inflight``) sheds overload with a

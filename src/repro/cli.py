@@ -32,7 +32,7 @@ Sub-commands
 ``query``
     Fire predict/stq/bq/health/stats/fleet-stats queries at a running
     ``serve`` process — or a fleet of them (repeat ``--url``; requests
-    consistent-hash across replicas with failover).  ``fleet-stats``
+    hash across replicas with failover).  ``fleet-stats``
     scrapes every replica's versioned telemetry snapshot over the wire.
 ``trace``
     Inspect recorded trace spans: ``trace top`` ranks the slowest traces,
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "Server URL; repeat the flag (or comma-separate) for a fleet of "
-            "replicas — requests consistent-hash across them with failover "
+            "replicas — requests hash across them with failover "
             "(default: $REPRO_SERVE_URL or serve://127.0.0.1:7601)."
         ),
     )

@@ -12,13 +12,13 @@ seed primitives:
   :class:`RetryState` (``policy.start()``) whose ``note_failure()``
   returns either the next jittered delay or ``None`` when the budget or
   deadline is spent.
-* :class:`HealthTracker` — per-endpoint EWMA of failures driving a
-  closed / open / half-open circuit.  Overloads are counted separately
-  and **never** trip the circuit: a shedding replica is a healthy
-  replica (the shed-vs-dead distinction).  Open circuits cool down for a
-  jittered, per-consecutive-trip doubling window, then admit exactly one
-  half-open probe; a probe success closes the circuit, a probe failure
-  re-opens it with a doubled window.
+* :class:`HealthTracker` — a per-endpoint closed / open / half-open
+  circuit that opens on a recorded failure.  Overloads are counted
+  separately and **never** trip the circuit: a shedding replica is a
+  healthy replica (the shed-vs-dead distinction).  Open circuits cool
+  down for a jittered, per-consecutive-trip doubling window, then admit
+  exactly one half-open probe; a probe success closes the circuit, a
+  probe failure re-opens it with a doubled window.
 
 Determinism: all jitter is drawn from a ``random.Random`` owned by the
 caller.  Seed it explicitly (``retry_seed=``), or set
@@ -201,7 +201,6 @@ class RetryState:
 @dataclass
 class _Endpoint:
     state: str = CLOSED
-    ewma: float = 0.0
     trips: int = 0  # consecutive trips since the last close
     open_until: float = 0.0
     probing: bool = False
@@ -216,47 +215,31 @@ class _Endpoint:
 
 
 class HealthTracker:
-    """Per-endpoint failure EWMA driving a closed/open/half-open circuit.
+    """Per-endpoint closed/open/half-open circuit.
 
-    * ``record_failure`` folds a 1 into the EWMA (``ewma = alpha + (1 -
-      alpha) * ewma``); when it crosses ``trip_threshold`` the circuit
-      **opens** for a jittered cooldown drawn from the ``cooldown``
-      policy at the endpoint's consecutive-trip count — so back-to-back
-      trips double the window, exactly the old per-client behaviour, now
-      shared.  The defaults (``alpha=0.7``, ``trip_threshold=0.5``) trip
-      on the first recorded failure, matching the fail-fast contract the
-      serve/memo tests pin.
-    * ``record_success`` decays the EWMA and, from half-open (or open),
-      **closes** the circuit and resets the consecutive-trip count.
+    * ``record_failure`` **opens** a closed or half-open circuit for a
+      jittered cooldown drawn from the ``cooldown`` policy at the
+      endpoint's consecutive-trip count — so back-to-back trips double
+      the window — matching the fail-fast contract the serve/memo tests
+      pin.  On an open circuit it only counts.
+    * ``record_success`` **closes** a half-open (or open) circuit and
+      resets the consecutive-trip count.
     * ``record_overload`` only counts: shedding is healthy behaviour and
-      must never remove a replica from the ring.
+      must never take a replica out of routing.
     * After the cooldown the circuit is **half-open**: ``routable()``
-      stays ``False`` (it re-enters the ring only on probe success) but
+      stays ``False`` (it is routed to again only on probe success) but
       ``claim_probe()`` grants exactly one caller the trial request.
 
-    ``generation`` bumps on every state transition, so callers can cache
-    derived structures (the serve client's consistent-hash ring) and
-    rebuild only when membership actually changed.  All methods are
-    thread-safe; the clock is injectable for tests.
+    All methods are thread-safe; the clock is injectable for tests.
     """
 
     def __init__(
         self,
         *,
-        alpha: float = 0.7,
-        trip_threshold: float = 0.5,
         cooldown: Optional[RetryPolicy] = None,
         rng: Optional[random.Random] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        if not 0.0 < trip_threshold <= 1.0:
-            raise ValueError(
-                f"trip_threshold must be in (0, 1], got {trip_threshold}"
-            )
-        self.alpha = alpha
-        self.trip_threshold = trip_threshold
         self.cooldown = cooldown or RetryPolicy(
             retries=None, base_delay=0.5, max_delay=30.0, jitter=0.5
         )
@@ -264,7 +247,6 @@ class HealthTracker:
         self._clock = clock
         self._lock = threading.Lock()
         self._endpoints: Dict[str, _Endpoint] = {}
-        self._generation = 0
 
     # -- internals ---------------------------------------------------
 
@@ -278,7 +260,6 @@ class HealthTracker:
         if ep.state == OPEN and now >= ep.open_until:
             ep.state = HALF_OPEN
             ep.probing = False
-            self._generation += 1
 
     def _trip(self, ep: _Endpoint, now: float) -> None:
         ep.trips += 1
@@ -286,7 +267,6 @@ class HealthTracker:
         ep.state = OPEN
         ep.probing = False
         ep.open_until = now + self.cooldown.delay(ep.trips, self._rng)
-        self._generation += 1
 
     # -- recording ---------------------------------------------------
 
@@ -297,13 +277,10 @@ class HealthTracker:
             self._refresh(ep, now)
             ep.successes += 1
             ep.last_success = now
-            ep.ewma *= 1.0 - self.alpha
             if ep.state != CLOSED:
                 ep.state = CLOSED
                 ep.trips = 0
-                ep.ewma = 0.0
                 ep.probing = False
-                self._generation += 1
 
     def record_failure(self, name: str) -> None:
         with self._lock:
@@ -312,10 +289,7 @@ class HealthTracker:
             self._refresh(ep, now)
             ep.failures += 1
             ep.last_failure = now
-            ep.ewma = self.alpha + (1.0 - self.alpha) * ep.ewma
-            if ep.state == HALF_OPEN or (
-                ep.state == CLOSED and ep.ewma >= self.trip_threshold
-            ):
+            if ep.state != OPEN:
                 self._trip(ep, now)
 
     def record_overload(self, name: str) -> None:
@@ -333,7 +307,7 @@ class HealthTracker:
             return ep.state
 
     def routable(self, name: str) -> bool:
-        """True when the endpoint belongs in the routing ring (closed)."""
+        """True when requests may be routed to the endpoint (closed)."""
         return self.state(name) == CLOSED
 
     def claim_probe(self, name: str) -> bool:
@@ -365,15 +339,6 @@ class HealthTracker:
                 return 0.0
             return max(0.0, ep.open_until - now)
 
-    @property
-    def generation(self) -> int:
-        """Bumps on every circuit transition; cheap cache-invalidation key."""
-        with self._lock:
-            now = self._clock()
-            for ep in self._endpoints.values():
-                self._refresh(ep, now)
-            return self._generation
-
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         """Operator-facing view: circuit state, counters, failure ages."""
         with self._lock:
@@ -383,7 +348,6 @@ class HealthTracker:
                 self._refresh(ep, now)
                 out[name] = {
                     "state": ep.state,
-                    "failure_ewma": round(ep.ewma, 4),
                     "successes": ep.successes,
                     "failures": ep.failures,
                     "overloads": ep.overloads,

@@ -13,9 +13,8 @@ The fleet layer (PR 8) scales that out: one server hosts *many* models
 replica holding its own copy of every model it serves), bounds overload
 with request-level admission control (shed requests fail with the
 retryable ``overloaded`` flavour, :class:`ServeOverloadedError`), and the
-client consistent-hashes requests across several replicas with
-deterministic failover — a dead replica degrades capacity, not
-availability.
+client hashes requests across several replicas with deterministic
+failover — a dead replica degrades capacity, not availability.
 
 The two load-bearing contracts (see ROADMAP "serve fleet contract"):
 

@@ -118,8 +118,8 @@ class MicroBatcher:
         self._stats_lock = threading.Lock()
         # PR 10: counters live on a typed metrics registry — the server
         # passes its own (labelled by model) so the telemetry opcode sees
-        # them; a standalone batcher gets a private one.  stats() and the
-        # legacy attribute names below are views over these instruments.
+        # them; a standalone batcher gets a private one.  stats() reads
+        # these instruments directly.
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         labels = {"model": model} if model else {}
         self._c_requests = self.metrics.counter("batch.requests", **labels)
@@ -137,32 +137,6 @@ class MicroBatcher:
             target=self._serve, name="micro-batcher", daemon=True
         )
         self._worker.start()
-
-    # Legacy counter attributes, now read-only views over the registry.
-
-    @property
-    def requests(self) -> int:
-        return self._c_requests.value
-
-    @property
-    def rows(self) -> int:
-        return self._c_rows.value
-
-    @property
-    def batches(self) -> int:
-        return self._c_batches.value
-
-    @property
-    def errors(self) -> int:
-        return self._c_errors.value
-
-    @property
-    def pending(self) -> int:
-        return int(self._g_pending.value)
-
-    @property
-    def batched_requests_max(self) -> int:
-        return int(self._g_batched_max.value)
 
     # ------------------------------------------------------------------ client
 

@@ -10,16 +10,17 @@ connection owns the dial, the trace context and the ``serve_wait`` hop;
 this module owns routing, failover and the failure contract.
 
 Fleet routing: constructed with several ``serve://`` URLs, the client
-consistent-hashes each request — the hash key is the full request payload,
-which embeds the opcode, the model alias and the request body — onto a
-ring of replica vnodes.  Equal requests always prefer the same replica
-(cache/batch affinity), different aliases spread across the fleet, and the
-ring gives every request a *deterministic failover order*: when the
-preferred replica is unreachable, in back-off, or sheds the request as
-``overloaded``, the client walks to the next distinct replica instead of
-failing.  A dead replica therefore degrades capacity, not availability —
-and because every replica serves the same registry artifacts, the answer
-is byte-identical no matter which replica produced it.
+hashes each request — the hash key is the full request payload, which
+embeds the opcode, the model alias and the request body — onto a home
+replica among those whose circuit is closed, and the other routable
+replicas follow in list order.  Equal requests prefer the same replica,
+different requests spread across the fleet, and every request gets a
+*deterministic failover order*: when the preferred replica is
+unreachable, in back-off, or sheds the request as ``overloaded``, the
+client walks to the next replica instead of failing.  A dead replica
+therefore degrades capacity, not availability — and because every
+replica serves the same registry artifacts, the answer is byte-identical
+no matter which replica produced it.
 
 Failure contract (the serve flavour of the PR 3 wire discipline): the memo
 client degrades failures to cache misses because a miss is recomputable;
@@ -32,9 +33,9 @@ wrong answer:
   server may simply have restarted); a second failure trips that replica's
   circuit (see :mod:`repro.parallel.resilience`: a jittered cooldown that
   doubles per consecutive trip, capped at 30s) and the client fails over
-  to the next replica on the ring.  An open-circuit replica *leaves the
-  ring* — other requests stop hashing onto it — and re-enters when its
-  half-open probe succeeds.  When every replica has failed, the call
+  to the next replica.  An open-circuit replica *leaves routing* — other
+  requests stop hashing onto it — and re-enters when its half-open probe
+  succeeds.  When every replica has failed, the call
   retries whole rounds under a budgeted, jittered
   :class:`~repro.parallel.resilience.RetryPolicy` and only then raises
   :class:`ServeUnavailableError` — bounded by ``retries`` and
@@ -66,6 +67,7 @@ import numpy as np
 from repro.obs import trace as obs_trace
 from repro.parallel.resilience import (
     CLOSED,
+    HALF_OPEN,
     HealthTracker,
     RetryPolicy,
     policy_rng,
@@ -97,10 +99,6 @@ __all__ = [
     "ServeOverloadedError",
     "parse_serve_url",
 ]
-
-#: Vnodes per replica on the consistent-hash ring.  Enough to spread load
-#: evenly across a handful of replicas; cheap to build.
-_VNODES = 32
 
 #: Error-body prefix by which a shed (overloaded) refusal is recognised.
 _OVERLOADED_PREFIX = "overloaded"
@@ -149,9 +147,9 @@ class ServeClient:
     """Blocking client for a serve server, or a fleet of replicas.
 
     ``url`` accepts a single ``serve://host:port``, a comma-separated list,
-    or any sequence of URLs.  With one URL the behaviour is exactly the
-    single-server client of PR 5; with several, requests consistent-hash
-    across the fleet with deterministic failover (see module docstring).
+    or any sequence of URLs.  With one URL it is a single-server client;
+    with several, requests hash across the fleet with deterministic
+    failover (see module docstring).
     """
 
     def __init__(
@@ -189,7 +187,7 @@ class ServeClient:
         self._rng = policy_rng(retry_seed)
         #: Fleet-level retry rounds: after every replica in a routing pass
         #: has refused (dead *or* overloaded), back off jittered and try
-        #: the whole ring again — bounded by the budget and the deadline.
+        #: the whole fleet again — bounded by the budget and the deadline.
         self._policy = RetryPolicy(
             retries=retries,
             base_delay=retry_delay,
@@ -208,38 +206,12 @@ class ServeClient:
         )
         for replica in replicas:  # pre-register: stats show every replica
             self.circuits.state(replica.url)
-        self._ring_cache: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         self._fleet_lock = threading.Lock()
         self._failovers = 0
         self._overloaded = 0
         self._retry_rounds = 0
 
-    # ------------------------------------------------------------------ ring
-
-    def _ring_for(self, indices: tuple[int, ...]) -> list[tuple[int, int]]:
-        """``[(point, replica_index)]`` over a replica subset, cached.
-
-        The subset is the *routable* membership from the health tracker;
-        an open-circuit replica simply contributes no vnodes, so its keys
-        re-hash onto the survivors, and the cache (keyed by membership)
-        makes a rebuild a dict hit unless a circuit actually flipped.
-        """
-        ring = self._ring_cache.get(indices)
-        if ring is None:
-            ring = []
-            for idx in indices:
-                url = self._replicas[idx].url
-                for vnode in range(_VNODES):
-                    point = int.from_bytes(
-                        hashlib.sha1(
-                            f"{url}#{vnode}".encode("utf-8")
-                        ).digest()[:8],
-                        "big",
-                    )
-                    ring.append((point, idx))
-            ring.sort()
-            self._ring_cache[indices] = ring
-        return ring
+    # --------------------------------------------------------------- routing
 
     def _routable_indices(self) -> tuple[int, ...]:
         """Replicas whose circuit is closed; all of them when none is."""
@@ -258,44 +230,31 @@ class ServeClient:
     def _route(self, key: bytes) -> list[int]:
         """Replica indices in preference order for this request key.
 
-        The key's ring position picks the home replica; walking clockwise
-        yields each remaining *routable* replica exactly once, so failover
-        order is deterministic per request and different keys drain to
-        different survivors when a replica dies.
+        The first 8 bytes of the key's SHA-1, modulo the number of
+        *routable* replicas, pick the home; the other routable replicas
+        follow in list order from there, each exactly once.  Failover order
+        is therefore deterministic per request, and an open circuit drops
+        out of every key's order until its probe succeeds.
         """
         indices = self._routable_indices()
         if len(indices) == 1:
             return [indices[0]]
-        ring = self._ring_for(indices)
-        point = int.from_bytes(hashlib.sha1(key).digest()[:8], "big")
-        # Binary search would shave a few microseconds; the ring has a few
-        # dozen entries, so a scan keeps it obvious.
-        start = 0
-        for i, (node_point, _) in enumerate(ring):
-            if node_point >= point:
-                start = i
-                break
-        order: list[int] = []
-        for i in range(len(ring)):
-            idx = ring[(start + i) % len(ring)][1]
-            if idx not in order:
-                order.append(idx)
-                if len(order) == len(indices):
-                    break
-        return order
+        home = int.from_bytes(hashlib.sha1(key).digest()[:8], "big") % len(indices)
+        return list(indices[home:] + indices[:home])
 
     def _order(self, key: bytes) -> list[tuple[int, bool]]:
         """``[(replica_index, is_probe)]`` for one routing pass.
 
-        Half-open replicas are not on the ring, but each claimable probe
-        is prepended so recovery traffic exists even when the rest of the
-        fleet is healthy: one trial request re-closes the circuit (the
-        replica re-enters the ring) or re-opens it with a doubled window.
+        Half-open replicas are not routable, but each leads the pass as a
+        probe candidate so recovery traffic exists even when the rest of
+        the fleet is healthy: one trial request re-closes the circuit or
+        re-opens it with a doubled window.  The caller claims a probe only
+        when the pass reaches it, so a pass that ends early holds no claim.
         """
         probes = [
             idx
             for idx, replica in enumerate(self._replicas)
-            if self.circuits.claim_probe(replica.url)
+            if self.circuits.state(replica.url) == HALF_OPEN
         ]
         order = [(idx, True) for idx in probes]
         order.extend(
@@ -336,7 +295,7 @@ class ServeClient:
             replica.requests += 1
             # The connection wraps the trace context around the payload at
             # send time, so per-request trace ids never reach the routing
-            # key and never scatter the consistent-hash ring.
+            # key and never scatter equal requests across replicas.
             for attempt in (0, 1):
                 try:
                     response = replica.conn.request(payload)
@@ -376,11 +335,15 @@ class ServeClient:
             retry = self._policy.start(self._rng)
             while True:
                 last_error: Optional[ServeError] = None
-                for position, (idx, probe) in enumerate(self._order(payload)):
+                attempts = 0
+                for idx, probe in self._order(payload):
                     replica = self._replicas[idx]
-                    if position > 0:
+                    if probe and not self.circuits.claim_probe(replica.url):
+                        continue  # another caller claimed this probe
+                    if attempts:
                         with self._fleet_lock:
                             self._failovers += 1
+                    attempts += 1
                     try:
                         status, body = self._request_replica(
                             replica, payload, probe=probe
@@ -505,7 +468,7 @@ class ServeClient:
         """Client-side routing counters and per-replica circuit health.
 
         ``replicas`` merges the request counter with the health tracker's
-        snapshot — circuit state, failure EWMA, overload/trip counts and
+        snapshot — circuit state, success/failure/overload/trip counts and
         last-failure age — so an operator sees a degraded replica here
         instead of grepping server logs.
         """

@@ -80,3 +80,23 @@ def test_fails_on_a_missing_replica(check_telemetry, fleet, probe_X, tmp_path, c
     report = _fleet_stats(fleet[:1], tmp_path, capsys)
     with pytest.raises(SystemExit, match="expected 2 replicas"):
         check_telemetry([report, "--replicas", "2"])
+
+
+def test_passes_a_post_kill_report_with_one_replica(
+    check_telemetry, tiny_advisor, probe_X, tmp_path, capsys
+):
+    # The serve-fleet job's post-kill shape: fleet-stats over a dead and a
+    # live replica exits 1 and lists only the live one in its report.
+    with ServeServer(tiny_advisor) as dead:
+        pass
+    with ServeServer(tiny_advisor) as live:
+        with ServeClient(live.url) as client:
+            client.predict(probe_X)
+        urls = f"{dead.url},{live.url}"
+        assert cli.main(["query", "fleet-stats", "--url", urls, "--timeout", "2"]) == 1
+        captured = capsys.readouterr()
+    assert f"query: fleet-stats: {dead.url}" in captured.err
+    report = tmp_path / "fleet-postkill.json"
+    report.write_text(captured.out)
+    assert check_telemetry([str(report), "--replicas", "1"]) == 0
+    assert f"{live.url}: schema_version=1, 1 requests served" in capsys.readouterr().out

@@ -1,7 +1,7 @@
 """Tests for fleet routing, failover and admission control (ISSUE 8).
 
-The fleet contract: a multi-URL client consistent-hashes requests across
-replicas with a deterministic failover order; a dead replica degrades
+The fleet contract: a multi-URL client hashes requests across replicas
+with a deterministic failover order; a dead replica degrades
 capacity, not availability, and every completed prediction stays
 byte-identical to the local estimator no matter which replica answered.
 Overload — request budget or connection cap — sheds with the distinct,
@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.parallel.resilience import CLOSED, HALF_OPEN, HealthTracker, RetryPolicy
 from repro.serve import (
     ServeClient,
     ServeError,
@@ -31,6 +32,23 @@ def fleet(tiny_advisor):
     yield servers
     for srv in servers:
         srv.shutdown()
+
+
+def hand_clock_circuits(client):
+    """Swap in circuits on a hand-advanced clock with exact 1 s cooldowns.
+
+    Returns ``advance(dt)``, so cooldowns expire without a sleep.
+    """
+    now = [100.0]
+    client.circuits = HealthTracker(
+        cooldown=RetryPolicy(retries=None, base_delay=1.0, jitter=0.0),
+        clock=lambda: now[0],
+    )
+
+    def advance(dt):
+        now[0] += dt
+
+    return advance
 
 
 class TestFleetConstruction:
@@ -79,6 +97,56 @@ class TestRouting:
                 client.predict(probe_X[0])
             per_replica = client.fleet_stats()["requests"]
             assert sorted(per_replica.values()) == [0, 4]
+        finally:
+            client.close()
+
+    def test_route_over_part_of_a_fleet(self):
+        # _route dials nothing, so dummy URLs stand in for three replicas.
+        urls = [f"serve://127.0.0.1:{port}" for port in (7701, 7702, 7703)]
+        client = ServeClient(urls)
+        hand_clock_circuits(client)
+        client.circuits.record_failure(urls[1])
+        orders = [client._route(f"request-{i}".encode()) for i in range(64)]
+        for i, order in enumerate(orders):
+            assert sorted(order) == [0, 2]
+            assert client._route(f"request-{i}".encode()) == order
+        assert {order[0] for order in orders} == {0, 2}
+
+
+class TestProbes:
+    def test_every_half_open_replica_gets_its_probe(self, fleet, probe_X):
+        client = ServeClient([srv.url for srv in fleet], timeout=5.0)
+        advance = hand_clock_circuits(client)
+        try:
+            for url in client.urls:
+                client.circuits.record_failure(url)
+            advance(1.01)
+            assert [client.circuits.state(u) for u in client.urls] == [HALF_OPEN] * 2
+            # The first predict's probe closes one replica; the other
+            # replica's probe stays unclaimed for the second predict.
+            client.predict(probe_X[0])
+            client.predict(probe_X[1])
+            assert [client.circuits.state(u) for u in client.urls] == [CLOSED] * 2
+            stats = client.fleet_stats()
+            assert sorted(stats["requests"].values()) == [1, 1]
+            assert stats["failovers"] == 0
+        finally:
+            client.close()
+
+    def test_probe_claimed_by_another_caller_is_skipped(self, fleet, probe_X):
+        client = ServeClient([srv.url for srv in fleet], timeout=5.0)
+        advance = hand_clock_circuits(client)
+        healthy, probed = client.urls
+        try:
+            client.circuits.record_failure(probed)
+            advance(1.01)
+            assert client.circuits.claim_probe(probed)  # the other caller
+            for row in probe_X[:4]:
+                client.predict(row)
+            stats = client.fleet_stats()
+            assert stats["requests"] == {healthy: 4, probed: 0}
+            assert stats["failovers"] == 0
+            assert client.circuits.state(probed) == HALF_OPEN
         finally:
             client.close()
 
