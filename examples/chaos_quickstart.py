@@ -14,9 +14,9 @@ shares one resilience engine (``repro.parallel.resilience``, PR 9):
    leaves routing while its circuit is open and re-enters on a successful
    half-open probe.  Overloads *never* trip the circuit: a shedding
    replica is a healthy replica (shed-vs-dead);
-3. **pending-depth shedding** — ``repro-chem serve --max-pending N`` bounds
-   the micro-batcher queue, answering the retryable ``overloaded`` flavour
-   before a request ever queues.
+3. **in-flight shedding** — ``repro-chem serve --max-inflight N`` bounds
+   the predict/ask requests a replica processes at once, answering the
+   retryable ``overloaded`` flavour instead of queueing past the bound.
 
 The proof harness is :class:`repro.testing.FaultWire`: a frame-aware TCP
 proxy whose drops / stalls / truncations / resets / garbles are a pure
@@ -29,10 +29,11 @@ Run with::
 
     python examples/chaos_quickstart.py
 
-The equivalent operational setup (the CI ``chaos`` job scripts this)::
+The equivalent operational setup (the CI ``chaos`` job scripts it,
+without ``--max-inflight``)::
 
-    repro-chem serve --port 7601 --max-pending 256   # real replicas
-    repro-chem serve --port 7602 --max-pending 256
+    repro-chem serve --port 7601 --max-inflight 64   # real replicas
+    repro-chem serve --port 7602 --max-inflight 64
     python -m repro.testing.faultwire --listen 127.0.0.1:7611 \\
         --upstream 127.0.0.1:7601 --seed 1234 --drop 0.05 --garble 0.05
     repro-chem query predict --url serve://127.0.0.1:7611 --retries 8 \\

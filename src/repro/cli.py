@@ -363,12 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port to listen on (0 picks a free port; printed at startup).",
     )
     p_serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=1024,
-        help="Micro-batcher cap on rows per packed traversal.",
-    )
-    p_serve.add_argument(
         "--single-flight",
         action="store_true",
         help="Disable micro-batching: one model call per request (benchmark baseline).",
@@ -393,18 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
             "Bound on concurrently processing predict/ask requests; past "
             "it, requests are shed with a retryable 'overloaded' error "
             "instead of queueing unboundedly. Default: unbounded."
-        ),
-    )
-    p_serve.add_argument(
-        "--max-pending",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "Bound on a model batcher's pending rows (submitted, not yet "
-            "answered); predicts arriving past it are shed with a "
-            "retryable 'overloaded' error. Queue-pressure companion to "
-            "--max-inflight. Default: unbounded."
         ),
     )
     # Inert: every served model is process-private.  Still parsed because
@@ -818,18 +800,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         micro_batch=not args.single_flight,
-        max_batch_rows=args.max_batch,
         registry=registry,
         max_models=args.max_models,
         max_inflight=args.max_inflight,
-        max_pending=args.max_pending,
         model_digests=(
             {name: digest, "default": digest} if digest is not None else None
         ),
         slow_ms=args.slow_ms,
         **_wire_kwargs(args),
     )
-    mode = "single-flight" if args.single_flight else f"micro-batch(max {args.max_batch} rows)"
+    mode = "single-flight" if args.single_flight else "micro-batch"
     # The exact "listening on serve://host:port" line is the startup
     # handshake scripts wait for (and parse the ephemeral port from, with
     # --port 0) — same convention as memo-serve.

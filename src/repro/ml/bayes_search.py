@@ -108,14 +108,13 @@ class BayesSearchCV(BaseSearchCV):
     # rather than just listing candidates up front; ``n_jobs`` therefore
     # parallelises the CV folds *within* each candidate evaluation.
     def fit(self, X: Any, y: Any) -> "BayesSearchCV":
-        from repro.ml.model_selection import get_scorer
-        from repro.parallel.cache import cv_splits
+        from repro.ml.model_selection import _resolve_cv, get_scorer
 
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         rng = check_random_state(self.random_state)
         get_scorer(self.scoring)  # fail fast on unknown scoring specs
-        splits = cv_splits(X, y, cv=self.cv)
+        splits = list(_resolve_cv(self.cv).split(X, y))
         data_token = self._data_token(X, y, splits)
 
         pool = list(ParameterGrid(self.search_spaces))

@@ -7,14 +7,6 @@ cross validation inside the hyper-parameter searches of Figures 1 and 2.
 ``n_jobs`` and fan the independent fold fits out over
 :func:`repro.parallel.parallel_map`; folds are enumerated and seeded before
 the fan-out, so serial and parallel runs return identical scores.
-
-When a cross-process memo store is active (``--memo-dir`` /
-``REPRO_MEMO_DIR``, see :mod:`repro.parallel.store`), ``cross_validate``
-memoises its whole result for seeded estimators with primitive parameters
-and a named scorer, keyed on the content of ``(estimator config, X, y,
-splits, scoring)``.  Scores of a store hit are byte-identical to a fresh
-run; the ``fit_time``/``score_time`` fields replay the *original* run's
-timings, and the returned arrays are read-only (copy before mutating).
 """
 
 from __future__ import annotations
@@ -145,27 +137,6 @@ def _resolve_cv(cv: Any) -> KFold:
     raise ValueError(f"Unsupported cv specification: {cv!r}")
 
 
-def _cv_memo_key(
-    estimator: Any, X: np.ndarray, y: np.ndarray, splits: list, scoring: Any, return_train_score: bool
-) -> Optional[tuple]:
-    """Store key for a whole ``cross_validate`` call, or ``None`` if uncacheable."""
-    from repro.parallel.cache import array_token, estimator_token, splits_token
-
-    if not isinstance(scoring, str):
-        return None
-    est_token = estimator_token(estimator)
-    if est_token is None:
-        return None
-    return (
-        est_token,
-        array_token(X),
-        array_token(y),
-        splits_token(splits),
-        scoring,
-        bool(return_train_score),
-    )
-
-
 def _cross_validate_fold(task: tuple) -> tuple[float, float, float, Optional[float]]:
     """Fit/score a single fold: ``(test_score, fit_time, score_time, train_score)``."""
     from repro.parallel.store import record_fit
@@ -202,28 +173,13 @@ def cross_validate(
     and scores are identical to the serial run.
     """
     from repro.parallel.backend import parallel_map
-    from repro.parallel.cache import cv_splits
-    from repro.parallel.store import get_store
 
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
     get_scorer(scoring)  # fail fast on unknown scoring specs
-    splits = cv_splits(X, y, cv=cv)
-
-    store = get_store()
-    memo_key = (
-        _cv_memo_key(estimator, X, y, splits, scoring, return_train_score)
-        if store is not None
-        else None
-    )
-    if memo_key is not None:
-        cached = store.get("cross_validate", memo_key)
-        if cached is not None:
-            return dict(cached)
-
     tasks = [
         (estimator, X, y, train_idx, test_idx, scoring, return_train_score)
-        for train_idx, test_idx in splits
+        for train_idx, test_idx in _resolve_cv(cv).split(X, y)
     ]
     folds = parallel_map(_cross_validate_fold, tasks, n_jobs=n_jobs)
 
@@ -234,12 +190,6 @@ def cross_validate(
     }
     if return_train_score:
         out["train_score"] = np.asarray([f[3] for f in folds])
-    if memo_key is not None:
-        # Freeze before publishing so first and later callers get the same
-        # read-only contract for memoised results.
-        for arr in out.values():
-            arr.setflags(write=False)
-        store.put("cross_validate", memo_key, out)
     return out
 
 
@@ -276,11 +226,10 @@ def cross_val_predict(
 ) -> np.ndarray:
     """Out-of-fold predictions for every sample."""
     from repro.parallel.backend import parallel_map
-    from repro.parallel.cache import cv_splits
 
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64).ravel()
-    splits = cv_splits(X, y, cv=cv)
+    splits = list(_resolve_cv(cv).split(X, y))
     tasks = [(estimator, X, y, train_idx, test_idx) for train_idx, test_idx in splits]
     fold_preds = parallel_map(_cross_val_predict_fold, tasks, n_jobs=n_jobs)
     preds = np.empty_like(y)

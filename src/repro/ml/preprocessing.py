@@ -29,15 +29,11 @@ class StandardScaler(BaseEstimator):
         self.with_std = with_std
 
     def fit(self, X: Any, y: Any = None) -> "StandardScaler":
+        # check_array returns C-contiguous data; keep that layout, since an
+        # F-ordered axis-0 mean sums in another order and differs in the
+        # last bits.
         X = check_array(X)
         self.n_features_in_ = X.shape[1]
-        if self.with_mean and self.with_std:
-            # Content-addressed cache: kernel models (KR, GP, SVR) fitting
-            # the same fold matrix share one moments computation.
-            from repro.parallel.cache import feature_moments
-
-            self.mean_, self.scale_ = feature_moments(X)
-            return self
         self.mean_ = X.mean(axis=0) if self.with_mean else np.zeros(X.shape[1])
         if self.with_std:
             scale = X.std(axis=0)

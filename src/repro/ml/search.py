@@ -26,13 +26,12 @@ from typing import Any, Iterator, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.ml.base import BaseEstimator, _as_param_mapping, check_random_state, clone
-from repro.ml.model_selection import get_scorer
+from repro.ml.model_selection import _resolve_cv, get_scorer
 from repro.parallel.backend import parallel_map
 from repro.parallel.cache import (
     array_token,
     candidate_eval_get,
     candidate_eval_put,
-    cv_splits,
     estimator_token,
     splits_token,
 )
@@ -214,7 +213,7 @@ class BaseSearchCV(BaseEstimator):
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
         get_scorer(self.scoring)  # fail fast on unknown scoring specs
-        splits = cv_splits(X, y, cv=self.cv)
+        splits = list(_resolve_cv(self.cv).split(X, y))
 
         candidates = self._candidates()
         if not candidates:

@@ -5,9 +5,9 @@
 * :class:`ParallelMap` / :func:`parallel_map` — process-pool or serial
   fan-out with seed-stable task ordering, exception propagation and a
   graceful serial fallback (see :mod:`repro.parallel.backend`).
-* :func:`cv_splits`, :func:`feature_moments`, :func:`feature_presort` —
-  caches for CV splits, standardisation moments and sorted-feature indices
-  keyed on array content (see :mod:`repro.parallel.cache`).
+* :func:`feature_presort` and the candidate-evaluation cache — caches
+  for sorted-feature indices and whole CV candidate scores, keyed on
+  array content (see :mod:`repro.parallel.cache`).
 * :class:`MemoStore` / :func:`configure_store` / :func:`get_store` — a
   cross-process, on-disk memo store that backs the candidate-evaluation
   cache so worker processes and successive runs share evaluations and
@@ -53,8 +53,6 @@ from repro.parallel.cache import (
     array_token,
     cache_stats,
     clear_caches,
-    cv_splits,
-    feature_moments,
     feature_presort,
 )
 from repro.parallel.service import MemoServer, RemoteMemoStore
@@ -77,8 +75,6 @@ __all__ = [
     "get_executor",
     "available_executors",
     "array_token",
-    "cv_splits",
-    "feature_moments",
     "feature_presort",
     "clear_caches",
     "cache_stats",

@@ -1,12 +1,14 @@
-"""Content-addressed caches for CV splits, feature moments and presorts.
+"""Content-addressed caches for feature presorts, feature bins and CV candidates.
 
-The paper's workload runs many hyper-parameter searches against the *same*
-training matrix: nine models x three strategies all split the same 300-row
-subsample with the same ``KFold(3)``, every candidate standardises the same
-fold matrices, and every boosting stage re-sorts the same feature columns.
-This module caches those derived artefacts, keyed on the **content** of the
-array (SHA-1 of its bytes plus shape/dtype) together with the relevant
-configuration — for CV splits that is ``(dataset, cv, seed)``.
+The paper's workload fits many trees against the *same* training matrix:
+every boosting stage re-sorts (or re-bins) the same feature columns, and
+the three search strategies of Figures 1 and 2 evaluate many of the same
+hyper-parameter candidates on the same splits.  This module caches those
+derived artefacts, keyed on the **content** of the array (SHA-1 of its
+bytes plus shape/dtype) together with the relevant configuration — for
+feature bins that is ``max_bins``; for a candidate evaluation it is the
+estimator's resolved parameters and the content tokens of its data,
+splits and scoring.
 
 Safety contract:
 
@@ -15,9 +17,6 @@ Safety contract:
   that tries to mutate a returned array gets a ``ValueError`` instead of
   silently poisoning the cache.  Callers that need a private mutable copy
   must ``.copy()``.
-* Splitters with stateful random sources (a ``numpy`` ``Generator`` as
-  ``random_state``) bypass the cache entirely — consuming their state is
-  part of their semantics.
 
 All caches are bounded LRU and thread-safe; worker processes spawned by
 :mod:`repro.parallel.backend` each hold their own (initially empty) cache.
@@ -40,8 +39,6 @@ from repro.parallel import store as _store
 
 __all__ = [
     "array_token",
-    "cv_splits",
-    "feature_moments",
     "feature_presort",
     "FeatureBins",
     "compute_feature_bins",
@@ -96,8 +93,6 @@ class _LRUCache:
             return len(self._data)
 
 
-_SPLIT_CACHE = _LRUCache(maxsize=32)
-_MOMENTS_CACHE = _LRUCache(maxsize=64)
 _PRESORT_CACHE = _LRUCache(maxsize=32)
 _BINS_CACHE = _LRUCache(maxsize=16)
 _CANDIDATE_CACHE = _LRUCache(maxsize=1024)
@@ -113,64 +108,6 @@ def array_token(X: np.ndarray) -> tuple:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
-
-
-def _cv_signature(cv: Any) -> Optional[tuple]:
-    """Hashable signature of a splitter, or ``None`` when it must not be cached."""
-    from repro.ml.model_selection import KFold, _resolve_cv
-
-    splitter = _resolve_cv(cv)
-    if not isinstance(splitter, KFold):  # pragma: no cover - only KFold exists today
-        return None
-    seed = splitter.random_state
-    if splitter.shuffle:
-        # Only a concrete integer seed makes a shuffled split reproducible;
-        # an unseeded or Generator-driven shuffle must stay a fresh draw.
-        if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-            return None
-        return ("kfold", splitter.n_splits, True, int(seed))
-    return ("kfold", splitter.n_splits, False, None)
-
-
-def cv_splits(X: np.ndarray, y: Optional[np.ndarray] = None, *, cv: Any = 5) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Cached ``[(train_idx, test_idx), ...]`` for splitting ``X`` with ``cv``.
-
-    Keyed on ``(dataset content, cv config, shuffle seed)``.  The returned
-    index arrays are read-only; copy before mutating.
-    """
-    from repro.ml.model_selection import _resolve_cv
-
-    signature = _cv_signature(cv)
-    if signature is None:
-        return list(_resolve_cv(cv).split(X, y))
-    key = (array_token(np.asarray(X)), signature)
-    cached = _SPLIT_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
-    splits = [
-        (_freeze(train), _freeze(test)) for train, test in _resolve_cv(cv).split(X, y)
-    ]
-    _SPLIT_CACHE.put(key, tuple(splits))
-    return splits
-
-
-def feature_moments(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cached per-column ``(mean, scale)`` with zero-variance columns clamped to 1.
-
-    This is the exact computation of ``StandardScaler.fit``, shared across
-    the many estimators that re-standardise the same fold matrix.
-    """
-    X = np.ascontiguousarray(X)
-    key = array_token(X)
-    cached = _MOMENTS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale[scale == 0.0] = 1.0
-    value = (_freeze(mean), _freeze(scale))
-    _MOMENTS_CACHE.put(key, value)
-    return value
 
 
 def feature_presort(X: np.ndarray) -> np.ndarray:
@@ -361,8 +298,6 @@ def clear_caches() -> None:
     are kept — persistence across runs is the store's whole point.  Use
     ``get_store().clear()`` to wipe the objects as well.
     """
-    _SPLIT_CACHE.clear()
-    _MOMENTS_CACHE.clear()
     _PRESORT_CACHE.clear()
     _BINS_CACHE.clear()
     _CANDIDATE_CACHE.clear()
@@ -384,8 +319,6 @@ def cache_stats(include_store: bool = True) -> dict[str, dict[str, int]]:
     stats = {
         name: {"hits": c.hits, "misses": c.misses, "size": len(c)}
         for name, c in (
-            ("cv_splits", _SPLIT_CACHE),
-            ("feature_moments", _MOMENTS_CACHE),
             ("feature_presort", _PRESORT_CACHE),
             ("feature_bins", _BINS_CACHE),
             ("candidate_eval", _CANDIDATE_CACHE),

@@ -49,7 +49,11 @@ import numpy as np
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["MicroBatcher"]
+__all__ = ["BatcherClosedError", "MicroBatcher"]
+
+
+class BatcherClosedError(RuntimeError):
+    """Raised by :meth:`MicroBatcher.submit` once the batcher is closed."""
 
 
 class _Pending:
@@ -144,8 +148,9 @@ class MicroBatcher:
         """Predict rows of ``X``, riding whatever batch forms; blocking.
 
         Raises ``ValueError`` for malformed input (validated before
-        queueing, so bad requests never poison a batch) and re-raises
-        whatever the model raised for the batch this request rode.
+        queueing, so bad requests never poison a batch),
+        :class:`BatcherClosedError` once the batcher is closed, and
+        re-raises whatever the model raised for the batch this request rode.
         """
         X = np.ascontiguousarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -159,7 +164,7 @@ class MicroBatcher:
         pending = _Pending(X)
         with self._close_lock:
             if self._closed:
-                raise RuntimeError("MicroBatcher is closed.")
+                raise BatcherClosedError("MicroBatcher is closed.")
             with self._stats_lock:
                 self._g_pending.inc()
             pending.t_enqueue = time.perf_counter()
@@ -299,16 +304,6 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------- stats
 
-    def pending_depth(self) -> int:
-        """Requests submitted but not yet answered (the shed signal).
-
-        The cheap, race-tolerant read the server's ``max_pending``
-        admission gate polls per predict: momentarily stale is fine —
-        shedding is statistical back-pressure, not an exact semaphore.
-        """
-        with self._stats_lock:
-            return int(self._g_pending.value)
-
     def stats(self) -> dict[str, Any]:
         with self._stats_lock:
             requests = self._c_requests.value
@@ -319,8 +314,7 @@ class MicroBatcher:
                 "batches": batches,
                 "errors": self._c_errors.value,
                 "batched_requests_max": int(self._g_batched_max.value),
-                # Queue-depth gauge: requests submitted but not yet answered
-                # — the signal admission control bounds at the request layer.
+                # Queue-depth gauge: requests submitted but not yet answered.
                 "pending": int(self._g_pending.value),
                 "requests_per_batch_mean": (
                     requests / batches if batches else 0.0

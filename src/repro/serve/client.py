@@ -40,8 +40,8 @@ wrong answer:
   :class:`~repro.parallel.resilience.RetryPolicy` and only then raises
   :class:`ServeUnavailableError` — bounded by ``retries`` and
   ``deadline``, never an unbounded loop.
-* A replica answering ``overloaded: ...`` (request-budget, pending-depth
-  or connection-cap shed) is a **healthy** refusal: the request lands on
+* A replica answering ``overloaded: ...`` (request-budget or
+  connection-cap shed) is a **healthy** refusal: the request lands on
   the next replica, the circuit is untouched, and only when the whole
   fleet sheds does the client back off (same budgeted jittered policy)
   and finally raise :class:`ServeOverloadedError` — the retryable

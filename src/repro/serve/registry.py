@@ -103,10 +103,10 @@ class ModelRegistry:
         self._artifacts.mkdir(parents=True, exist_ok=True)
         self._aliases.mkdir(parents=True, exist_ok=True)
         self._stats_lock = threading.Lock()
-        # PR 10: counters live on the typed metrics registry; the legacy
-        # attribute names below are read-only views.  The stats lock still
-        # makes multi-counter bumps (misses+errors) one atomic step so a
-        # concurrent stats() read never sees half an event.
+        # Counters live on the typed metrics registry, and stats() reads
+        # them.  The stats lock makes multi-counter bumps (misses+errors)
+        # one atomic step so a concurrent stats() read never sees half an
+        # event.
         self.metrics = MetricsRegistry()
         self._counters = {
             name: self.metrics.counter(f"registry.{name}")
@@ -119,22 +119,6 @@ class ModelRegistry:
         with self._stats_lock:
             for name, delta in deltas.items():
                 self._counters[name].inc(delta)
-
-    @property
-    def publishes(self) -> int:
-        return self._counters["publishes"].value
-
-    @property
-    def loads(self) -> int:
-        return self._counters["loads"].value
-
-    @property
-    def misses(self) -> int:
-        return self._counters["misses"].value
-
-    @property
-    def errors(self) -> int:
-        return self._counters["errors"].value
 
     # ------------------------------------------------------------------ paths
 

@@ -68,7 +68,7 @@ from repro.parallel.wire import (
     FrameService,
     ProtocolError,
 )
-from repro.serve.batcher import MicroBatcher
+from repro.serve.batcher import BatcherClosedError, MicroBatcher
 from repro.serve.registry import ModelRegistry, warm_model
 
 __all__ = ["ServeServer", "SERVE_URL_SCHEME", "SERVE_PROTOCOL_VERSION"]
@@ -113,7 +113,6 @@ class _HostedModel:
         model: Any,
         *,
         batcher: bool,
-        max_batch_rows: int,
         digest: Optional[str] = None,
         source: str = "static",
         metrics: Optional[MetricsRegistry] = None,
@@ -145,7 +144,6 @@ class _HostedModel:
             MicroBatcher(
                 self.predict,
                 n_features=self.n_features,
-                max_batch_rows=max_batch_rows,
                 metrics=metrics,
                 model=name,
             )
@@ -187,14 +185,6 @@ class ServeServer(FrameService):
         Bound on concurrently processing predict/ask requests.  Past it,
         requests fail fast with a retryable ``overloaded: ...`` error
         instead of queueing unboundedly.  ``None`` means unbounded.
-    max_pending:
-        Bound on a model batcher's *pending depth* — rows submitted but
-        not yet answered, the real queue-pressure signal.  A predict
-        arriving while its model's backlog is at the cap is shed with the
-        same retryable ``overloaded: ...`` flavour.  Complements
-        ``max_inflight``: in-flight counts requests being processed,
-        pending counts work queued behind the batcher.  ``None`` (default)
-        means unbounded; only meaningful with ``micro_batch``.
     model_digests:
         Registry digests for *statically* passed models (``name ->
         digest``), reported per model in ``stats`` as registry-routed
@@ -218,12 +208,10 @@ class ServeServer(FrameService):
         port: int = 0,
         *,
         micro_batch: bool = True,
-        max_batch_rows: int = 1024,
         registry: Optional[ModelRegistry] = None,
         warm: bool = True,
         max_models: Optional[int] = None,
         max_inflight: Optional[int] = None,
-        max_pending: Optional[int] = None,
         model_digests: Optional[Mapping[str, str]] = None,
         slow_ms: Optional[float] = None,
         timeout: Optional[float] = DEFAULT_TIMEOUT,
@@ -246,10 +234,6 @@ class ServeServer(FrameService):
         self.max_inflight = (
             int(max_inflight) if max_inflight and max_inflight > 0 else None
         )
-        self.max_pending = (
-            int(max_pending) if max_pending and max_pending > 0 else None
-        )
-        self._max_batch_rows = int(max_batch_rows)
         self.models: dict[str, _HostedModel] = {}
         # Registry-routed residents, least recently used first.  Guarded by
         # _models_lock; _load_lock serializes the loads themselves so one
@@ -295,7 +279,6 @@ class ServeServer(FrameService):
                         name,
                         model,
                         batcher=self.micro_batch,
-                        max_batch_rows=max_batch_rows,
                         digest=digests.get(name),
                         source="static",
                         metrics=self.metrics,
@@ -508,7 +491,6 @@ class ServeServer(FrameService):
                     name,
                     model,
                     batcher=self.micro_batch,
-                    max_batch_rows=self._max_batch_rows,
                     digest=digest,
                     source="registry",
                     metrics=self.metrics,
@@ -537,19 +519,6 @@ class ServeServer(FrameService):
 
     def _predict(self, fields: dict) -> dict:
         name, hosted = self._hosted(fields)
-        if (
-            self.max_pending is not None
-            and hosted.batcher is not None
-            and hosted.batcher.pending_depth() >= self.max_pending
-        ):
-            # Queue pressure, not processing pressure: the batcher already
-            # has max_pending rows waiting, so shed with the same
-            # retryable flavour the in-flight budget uses.
-            self._c_requests_shed.inc()
-            raise _RequestError(
-                f"overloaded: model {name!r} has {self.max_pending} rows "
-                f"pending (retryable; try another replica)"
-            )
         rows = fields.get("X")
         if not isinstance(rows, list):
             raise _RequestError("predict needs X: a list of feature rows")
@@ -571,9 +540,10 @@ class ServeServer(FrameService):
                 obs_trace.annotate("traverse", time.perf_counter() - t_predict)
         except ValueError as exc:
             raise _RequestError(str(exc))
-        except RuntimeError:
+        except BatcherClosedError:
             # The model was LRU-evicted between routing and submit; its
-            # batcher is closed.  The next attempt reloads it.
+            # batcher is closed.  The next attempt reloads it.  Any other
+            # model failure takes _handle_frame's internal-error path.
             raise _RequestError(
                 f"model {name!r} was evicted mid-request (retryable)"
             )
@@ -656,7 +626,6 @@ class ServeServer(FrameService):
             },
             "admission": {
                 "max_inflight": self.max_inflight,
-                "max_pending": self.max_pending,
                 "inflight": inflight,
                 "requests_shed": shed,
             },

@@ -70,6 +70,15 @@ class TestKFold:
         seen = np.concatenate([test for _, test in kf.split(np.arange(23))])
         np.testing.assert_array_equal(np.sort(seen), np.arange(23))
 
+    def test_seeded_shuffle_is_reproduced(self):
+        X = np.arange(60)
+        a = list(KFold(n_splits=4, shuffle=True, random_state=42).split(X))
+        b = list(KFold(n_splits=4, shuffle=True, random_state=42).split(X))
+        assert len(a) == len(b) == 4
+        for (tr1, te1), (tr2, te2) in zip(a, b):
+            np.testing.assert_array_equal(tr1, tr2)
+            np.testing.assert_array_equal(te1, te2)
+
     def test_too_many_splits_raises(self):
         with pytest.raises(ValueError):
             list(KFold(n_splits=5).split(np.arange(3)))

@@ -31,6 +31,16 @@ class TestStandardScaler:
         scaler = StandardScaler().fit(X)
         np.testing.assert_allclose(scaler.inverse_transform(scaler.transform(X)), X, atol=1e-10)
 
+    def test_moments_match_numpy_bit_for_bit(self, rng):
+        X = rng.uniform(0.0, 10.0, size=(60, 4))
+        scaler = StandardScaler().fit(X)
+        np.testing.assert_array_equal(scaler.mean_, X.mean(axis=0))
+        np.testing.assert_array_equal(scaler.scale_, X.std(axis=0))
+
+    def test_constant_column_scale_is_one(self):
+        scaler = StandardScaler().fit(np.column_stack([np.ones(10), np.arange(10.0)]))
+        assert scaler.scale_[0] == 1.0
+
     def test_constant_column_does_not_nan(self):
         X = np.column_stack([np.ones(10), np.arange(10.0)])
         Xt = StandardScaler().fit_transform(X)

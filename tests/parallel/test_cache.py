@@ -1,4 +1,4 @@
-"""Tests for the CV-split / feature-matrix caches in ``repro.parallel.cache``."""
+"""Tests for the presort and candidate-evaluation caches in ``repro.parallel.cache``."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,6 @@ from repro.parallel.cache import (
     candidate_eval_get,
     candidate_eval_put,
     clear_caches,
-    cv_splits,
-    feature_moments,
     feature_presort,
     splits_token,
 )
@@ -30,77 +28,7 @@ def X():
     return rng.uniform(0.0, 10.0, size=(60, 4))
 
 
-class TestCvSplitCache:
-    def test_cache_hit_returns_identical_arrays(self, X):
-        first = cv_splits(X, cv=3)
-        second = cv_splits(X, cv=3)
-        assert len(first) == len(second) == 3
-        for (tr1, te1), (tr2, te2) in zip(first, second):
-            assert tr1 is tr2 and te1 is te2
-        assert cache_stats()["cv_splits"]["hits"] == 1
-
-    def test_keyed_on_dataset_content(self, X):
-        cv_splits(X, cv=3)
-        cv_splits(X + 1.0, cv=3)
-        assert cache_stats()["cv_splits"]["misses"] == 2
-
-    def test_keyed_on_cv_config(self, X):
-        cv_splits(X, cv=3)
-        cv_splits(X, cv=4)
-        cv_splits(X, cv=KFold(n_splits=3, shuffle=True, random_state=0))
-        cv_splits(X, cv=KFold(n_splits=3, shuffle=True, random_state=1))
-        stats = cache_stats()["cv_splits"]
-        assert stats["misses"] == 4 and stats["hits"] == 0
-
-    def test_seeded_shuffle_split_is_reproduced(self, X):
-        a = cv_splits(X, cv=KFold(n_splits=4, shuffle=True, random_state=42))
-        b = cv_splits(X, cv=KFold(n_splits=4, shuffle=True, random_state=42))
-        for (tr1, te1), (tr2, te2) in zip(a, b):
-            assert np.array_equal(tr1, tr2) and np.array_equal(te1, te2)
-        assert cache_stats()["cv_splits"]["hits"] == 1
-
-    def test_mutation_cannot_poison_the_cache(self, X):
-        splits = cv_splits(X, cv=3)
-        train0 = splits[0][0]
-        with pytest.raises(ValueError):
-            train0[0] = 999
-        # A mutable copy works and later hits still return the pristine data.
-        mutable = train0.copy()
-        mutable[0] = 999
-        again = cv_splits(X, cv=3)
-        assert again[0][0][0] != 999
-        assert np.array_equal(again[0][0], train0)
-
-    def test_generator_random_state_bypasses_cache(self, X):
-        gen_cv = KFold(n_splits=3, shuffle=True, random_state=np.random.default_rng(0))
-        cv_splits(X, cv=gen_cv)
-        stats = cache_stats()["cv_splits"]
-        assert stats["hits"] == 0 and stats["misses"] == 0
-
-    def test_splits_cover_all_samples(self, X):
-        splits = cv_splits(X, cv=5)
-        test_all = np.sort(np.concatenate([te for _, te in splits]))
-        assert np.array_equal(test_all, np.arange(len(X)))
-
-
 class TestFeatureCaches:
-    def test_moments_match_manual(self, X):
-        mean, scale = feature_moments(X)
-        assert np.array_equal(mean, X.mean(axis=0))
-        assert np.array_equal(scale, X.std(axis=0))
-        mean2, scale2 = feature_moments(X.copy())  # same content, new object
-        assert mean is mean2 and scale is scale2
-
-    def test_moments_zero_variance_clamped(self):
-        X = np.ones((10, 2))
-        _, scale = feature_moments(X)
-        assert np.array_equal(scale, np.ones(2))
-
-    def test_moments_read_only(self, X):
-        mean, _ = feature_moments(X)
-        with pytest.raises(ValueError):
-            mean[0] = 123.0
-
     def test_presort_matches_argsort_and_is_shared(self, X):
         presort = feature_presort(X)
         assert np.array_equal(presort, np.argsort(X, axis=0, kind="stable"))
@@ -124,10 +52,9 @@ class TestCandidateCache:
         assert stats["hits"] == 1 and stats["misses"] == 1
 
     def test_splits_token_depends_on_indices(self, X):
-        a = splits_token(cv_splits(X, cv=3))
-        clear_caches()
-        b = splits_token(cv_splits(X, cv=3))
-        c = splits_token(cv_splits(X, cv=4))
+        a = splits_token(KFold(n_splits=3).split(X))
+        b = splits_token(KFold(n_splits=3).split(X))
+        c = splits_token(KFold(n_splits=4).split(X))
         assert a == b
         assert a != c
 

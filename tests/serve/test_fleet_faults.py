@@ -8,7 +8,7 @@ The resilience contract, proven against real servers through
   local model.
 * A **dead** replica (hard RST) trips its circuit: it leaves the ring,
   the healthy replica serves everything, and the fleet stats say so.
-* A **shedding** replica (``max_pending`` admission) is healthy: the
+* A **shedding** replica (``max_inflight`` admission) is healthy: the
   client retries under its budget and the circuit never opens.
 * The whole fleet down resolves to ``ServeUnavailableError`` within the
   client's deadline — bounded, clean, no hang.
@@ -165,7 +165,7 @@ class TestDeadReplica:
                 s.shutdown()
 
 
-class TestPendingDepthShedding:
+class TestMicroBatchedInflightShedding:
     def test_shed_replica_is_retryable_and_circuit_stays_closed(
         self, tiny_advisor, probe_X
     ):
@@ -180,7 +180,7 @@ class TestPendingDepthShedding:
                 return inner.predict(X)
 
         local = inner.predict(probe_X)
-        server = ServeServer(Gated(), max_pending=1).start()
+        server = ServeServer(Gated(), max_inflight=1).start()
         blocker = ServeClient(server.url, timeout=15.0)
         client = ServeClient(
             server.url,
@@ -213,7 +213,7 @@ class TestPendingDepthShedding:
             assert stats["replicas"][server.url]["state"] == CLOSED
             assert stats["replicas"][server.url]["trips"] == 0
             admission = server.stats()["admission"]
-            assert admission["max_pending"] == 1
+            assert admission["max_inflight"] == 1
             assert admission["requests_shed"] >= 1
         finally:
             release.set()

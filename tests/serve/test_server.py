@@ -338,6 +338,36 @@ class TestFailureContract:
         # "a" was hosted (its batcher started) before "b" failed.
         assert batchers() == before
 
+    @pytest.mark.parametrize("micro_batch", [True, False])
+    def test_model_runtime_error_is_not_an_eviction(self, micro_batch):
+        class Exploding:
+            n_features_in_ = 4
+
+            def predict(self, X):
+                raise RuntimeError("model exploded")
+
+        with ServeServer(Exploding(), micro_batch=micro_batch) as srv:
+            client = ServeClient(srv.url, timeout=5.0, retry_delay=0.05)
+            try:
+                with pytest.raises(ServeError) as info:
+                    client.predict([[1.0, 2.0, 3.0, 4.0]])
+                assert "evicted" not in str(info.value)
+                assert srv.stats()["errors"] == 1
+                assert client.ping()
+            finally:
+                client.close()
+
+    def test_closed_batcher_is_answered_as_an_eviction(self, tiny_advisor, probe_X):
+        with ServeServer(tiny_advisor) as srv:
+            # What an LRU eviction between routing and submit leaves behind.
+            srv.models["default"].batcher.close()
+            client = ServeClient(srv.url, timeout=5.0, retry_delay=0.05)
+            try:
+                with pytest.raises(ServeError, match="evicted mid-request"):
+                    client.predict(probe_X[:1])
+            finally:
+                client.close()
+
     def test_shutdown_then_queries_fail_cleanly(self, tiny_advisor, probe_X):
         srv = ServeServer(tiny_advisor)
         srv.start()

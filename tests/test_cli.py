@@ -193,8 +193,6 @@ class TestResilienceFlags:
              "--retries", "4"]
         )
         assert args.timeout == 2.5 and args.retries == 4
-        args = build_parser().parse_args(["serve", "--max-pending", "64"])
-        assert args.max_pending == 64
         args = build_parser().parse_args(
             ["cluster-status", "--dispatcher", "cluster://h:1", "--retries", "3"]
         )
